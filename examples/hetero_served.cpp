@@ -13,9 +13,6 @@
 //   --cache N          result-cache entries per shard (default 64)
 //   --deadline-ms N    default per-request deadline (default: none)
 //   --idle-timeout-ms N  close idle connections after N ms (default 30000)
-//   --tcp-blocking     use the thread-per-connection TCP front end instead
-//                      of the event loop (the bit-identical equivalence
-//                      twin; no --workers, no graceful drain)
 //
 // Protocol (one JSON object per line; see src/svc/protocol.hpp):
 //   {"id":1,"kind":"measures","etc":[[1,2],[3,4]]}
@@ -25,7 +22,7 @@
 //   {"id":4,"kind":"whatif","remove":"machines","etc":[[1,2],[3,4]]}
 //   {"id":5,"kind":"stats"}
 //
-// In event-loop TCP mode SIGINT/SIGTERM trigger a graceful shutdown: stop
+// In TCP mode SIGINT/SIGTERM trigger a graceful shutdown: stop
 // accepting, flush in-flight responses, then exit. On shutdown (any mode)
 // the metrics registry — including connection gauges — is dumped to
 // stderr.
@@ -41,7 +38,7 @@ namespace {
 
 int usage() {
   std::cerr << "usage: hetero_served [--tcp PORT] [--workers N] "
-               "[--tcp-blocking] [--threads N] [--queue N] [--shards N] "
+               "[--threads N] [--queue N] [--shards N] "
                "[--cache N] [--deadline-ms N] [--idle-timeout-ms N]\n";
   return 2;
 }
@@ -59,7 +56,6 @@ int main(int argc, char** argv) {
   hetero::svc::EventLoopOptions loop_options;
   std::uint16_t tcp_port = 0;
   bool tcp = false;
-  bool tcp_blocking = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -75,8 +71,6 @@ int main(int argc, char** argv) {
         const char* v = next();
         if (!v) return usage();
         loop_options.workers = std::stoul(v);
-      } else if (arg == "--tcp-blocking") {
-        tcp_blocking = true;
       } else if (arg == "--threads") {
         const char* v = next();
         if (!v) return usage();
@@ -111,9 +105,7 @@ int main(int argc, char** argv) {
 
   hetero::svc::Server server(options);
   int rc = 0;
-  if (tcp && tcp_blocking) {
-    rc = server.serve_tcp(tcp_port, std::cerr);
-  } else if (tcp) {
+  if (tcp) {
     loop_options.port = tcp_port;
     hetero::svc::EventLoopServer loop(server, loop_options);
     g_loop = &loop;

@@ -55,8 +55,7 @@ TmaResult tma_detailed_blocked(const EcsMatrix& ecs, const Weights& w,
                                                 &pool};
 
   result.standard_form =
-      standardize_tiled(ecs.weighted_values(w), options.sinkhorn, pool,
-                        options.large.sinkhorn_tile_rows);
+      standardize_tiled(ecs.weighted_values(w), options.sinkhorn, pool);
   if (result.standard_form.converged) {
     result.singular_values =
         linalg::blocked_singular_values(result.standard_form.standard,

@@ -69,8 +69,6 @@ struct LargePathOptions {
   /// The default, 2^20 (a 4096 x 256 environment), is where the dense
   /// Jacobi sweeps start dominating end-to-end characterization time.
   std::size_t min_elements = std::size_t{1} << 20;
-  /// Row-tile height of the pool-parallel Sinkhorn passes.
-  std::size_t sinkhorn_tile_rows = 64;
   /// Row/column block edge of the tiled Gram build in the spectrum path.
   std::size_t gram_block = 48;
   /// Worker pool; nullptr uses par::shared_pool().

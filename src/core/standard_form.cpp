@@ -65,9 +65,10 @@ void validate_warm_scale(const std::vector<double>& scale, std::size_t dim,
                      " entries must be positive and finite");
 }
 
-// Common setup shared by the fused and reference implementations: targets,
-// pattern diagnosis, working copy (core-projected when limit_only) and the
-// warm-start seed folded into the working matrix and the scale vectors.
+// Setup of the unfused reference: targets, pattern diagnosis, working copy
+// (core-projected when limit_only) and the warm-start seed folded into the
+// working matrix and the scale vectors. The kernel below fuses the copy,
+// the seed and the sum priming into one pass with the same arithmetic.
 void prepare(const Matrix& ecs, const SinkhornOptions& options,
              StandardFormResult& result, Matrix& work) {
   validate_input(ecs);
@@ -129,181 +130,221 @@ double standard_form_residual(const Matrix& m, double row_target,
 
 namespace {
 
-// The fused eq. 9 loop shared by standardize() and
-// standardize_positive_into(). `work` must already carry the warm seed and
-// `result` the targets and seeded scale vectors; the scratch vectors are
-// (re)sized here so callers can reuse their heap blocks across calls.
+// Caller-owned iteration scratch. The kernel (re)sizes every vector, so a
+// caller that keeps one alive (standardize_positive_into's thread-local
+// copy) reuses its heap blocks across same-shape calls.
+struct SinkhornScratch {
+  std::vector<double> row_sums;
+  std::vector<double> col_sums;
+  // Per-column factors of the column pass.
+  std::vector<double> factor;
+  // Tile-local column accumulators (one per tile, each padded by a cache
+  // line so tiles on different threads never share one) and per-tile
+  // row-sum residuals; unused (and never allocated) with a single tile,
+  // which accumulates straight into col_sums.
+  std::vector<double> tile_cols;
+  std::vector<double> tile_err;
+};
+
+// The eq. 9 iteration behind every production entry point. Copies `src`
+// into result.standard (warm-seeded), then alternates column and row
+// passes until the residual drops below the tolerance.
 //
-// Incremental state: each pass consumes the sums of its own dimension and
-// produces fresh sums of the opposite dimension as a side effect of the
-// row-major application sweep, so the per-column strided recomputation and
-// the separate residual pass of the reference implementation disappear.
-// Per-column additions happen in increasing row order (elementwise over
-// the row, which never reorders within a column) and per-row sums use the
-// kernel layer's fixed 4-lane order — exactly how the reference's
-// col_sum/row_sum scans accumulate — so every scale factor (and therefore
-// the result) is bit-identical to the reference path.
-// When `sums_primed` is true the caller has already filled `row_sums` and
-// `col_sums` with the sums of `work` in the reference scan order (fused with
-// its own setup pass); otherwise they are computed here.
-void run_fused(Matrix& work, const SinkhornOptions& options,
-               StandardFormResult& result, std::vector<double>& row_sums,
-               std::vector<double>& col_sums, std::vector<double>& factor,
-               bool sums_primed) {
-  const std::size_t rows = work.rows();
-  const std::size_t cols = work.cols();
-  const double rt = result.target_row_sum;
-  const double ct = result.target_col_sum;
+// Incremental state: every pass sweeps the matrix once in row-major order
+// through the fused SIMD kernels, scaling each row and producing both
+// dimensions' fresh sums (and the row-sum residual) as a side effect, so
+// the strided column scans and the separate residual pass of the
+// reference disappear. The sweep runs in row tiles of `tile_rows`: with
+// one tile it is the serial sweep, accumulating straight into col_sums;
+// with several, tiles run on `pool` (required then), each accumulating
+// into its own buffer, and the buffers fold in ascending tile order. The
+// summation order is therefore a function of `tile_rows` alone — never of
+// how tiles land on threads. Per-column additions happen in increasing
+// row order and per-row sums use the kernel layer's fixed 4-lane order,
+// exactly how the reference's col_sum/row_sum scans accumulate, so with
+// one tile every scale factor (and therefore the result) is bit-identical
+// to standardize_reference.
+void run_sinkhorn(const Matrix& src, const SinkhornOptions& options,
+                  StandardFormResult& result, SinkhornScratch& scratch,
+                  std::size_t tile_rows, par::ThreadPool* pool) {
+  const std::size_t rows = src.rows();
+  const std::size_t cols = src.cols();
+  validate_warm_scale(options.warm_row_scale, rows, "warm_row_scale");
+  validate_warm_scale(options.warm_col_scale, cols, "warm_col_scale");
+  const auto tasks = static_cast<double>(rows);
+  const auto machines = static_cast<double>(cols);
+  const double rt = std::sqrt(machines / tasks);  // Mk with k = 1/sqrt(TM)
+  const double ct = std::sqrt(tasks / machines);  // Tk
+  result.target_row_sum = rt;
+  result.target_col_sum = ct;
+  result.iterations = 0;
+  result.converged = false;
+  result.residual = 0.0;
+  const bool seeded =
+      !options.warm_row_scale.empty() || !options.warm_col_scale.empty();
+  result.row_scale.assign(rows, 1.0);
+  result.col_scale.assign(cols, 1.0);
+  if (!options.warm_row_scale.empty())
+    result.row_scale = options.warm_row_scale;
+  if (!options.warm_col_scale.empty())
+    result.col_scale = options.warm_col_scale;
+  // A fresh output starts as a plain copy of the source, which the
+  // unseeded setup sweep then only reads; reused storage
+  // (standardize_positive_into) is overwritten by the setup sweep itself.
+  Matrix& work = result.standard;
+  const bool fresh = work.rows() != rows || work.cols() != cols;
+  if (fresh) work = src;
+
+  const std::size_t tiles = rows / tile_rows + (rows % tile_rows != 0);
+  const std::size_t acc_stride = cols + 8;
+  auto& row_sums = scratch.row_sums;
+  auto& col_sums = scratch.col_sums;
+  auto& factor = scratch.factor;
+  row_sums.assign(rows, 0.0);
+  col_sums.assign(cols, 0.0);
+  factor.assign(cols, 0.0);
+  if (tiles > 1) {
+    scratch.tile_cols.assign(tiles * acc_stride, 0.0);
+    scratch.tile_err.assign(tiles, 0.0);
+  }
   const auto& K = simd::kernels();
 
-  factor.assign(cols, 0.0);  // per-column factors, column pass
-
-  if (!sums_primed) {
-    row_sums.assign(rows, 0.0);
-    col_sums.assign(cols, 0.0);
-    if (options.row_first) {
-      for (std::size_t i = 0; i < rows; ++i) row_sums[i] = work.row_sum(i);
-    } else {
-      // Same row-major accumulation order as Matrix::col_sums(), minus its
-      // return-by-value allocation.
-      for (std::size_t i = 0; i < rows; ++i)
-        K.add_into(work.row(i).data(), col_sums.data(), cols);
-    }
-  }
-
-  // Scales rows to `rt` using the current row_sums, refilling col_sums with
-  // the sums of the scaled matrix; returns the max row-sum deviation of the
-  // scaled matrix (floating-point noise only, but the reference measures it,
-  // so the fused path measures it identically).
-  const auto row_pass = [&] {
+  // One row-major sweep: row_op(i, acc, err) transforms row i, adds it
+  // into the tile's column accumulator, returns its sum and may fold a
+  // deviation into the tile's running maximum `err`. Leaves row_sums and
+  // col_sums holding the sums of the swept matrix and returns the maximum
+  // over tiles of `err`.
+  //
+  // Lambdas reachable from the pool capture this frame's scalars by value
+  // and the pool only ever gets a copy of `tile`: were a reference to a
+  // local handed out, the compiler would have to reload it after every
+  // opaque kernel call, in the single-tile sweep too.
+  const auto sweep = [&](const auto& row_op) {
+    const auto tile = [&scratch, row_op, rows, cols, tiles, tile_rows,
+                       acc_stride](std::size_t t) {
+      double* acc = tiles == 1 ? scratch.col_sums.data()
+                               : scratch.tile_cols.data() + t * acc_stride;
+      std::fill(acc, acc + cols, 0.0);
+      double err = 0.0;
+      const std::size_t end = std::min(rows, (t + 1) * tile_rows);
+      for (std::size_t i = t * tile_rows; i < end; ++i)
+        scratch.row_sums[i] = row_op(i, acc, err);
+      return err;
+    };
+    if (tiles == 1) return tile(0);
+    par::parallel_for(*pool, 0, tiles, [&scratch, tile](std::size_t t) {
+      scratch.tile_err[t] = tile(t);
+    });
     std::fill(col_sums.begin(), col_sums.end(), 0.0);
     double err = 0.0;
-    for (std::size_t i = 0; i < rows; ++i) {
-      const double f = checked_scale_factor(rt, row_sums[i]);
-      result.row_scale[i] *= f;
-      const double s =
-          K.scale_accum(work.row(i).data(), cols, f, col_sums.data());
-      err = std::max(err, std::abs(s - rt));
+    for (std::size_t t = 0; t < tiles; ++t) {
+      K.add_into(scratch.tile_cols.data() + t * acc_stride, col_sums.data(),
+                 cols);
+      err = std::max(err, scratch.tile_err[t]);
     }
     return err;
   };
-  // Scales columns to `ct` using the current col_sums, refilling row_sums;
-  // returns the max column-sum deviation of the scaled matrix.
+
+  // Setup: prime both sums, copying (and warm-seeding) the source into
+  // work on the way unless work already is its plain copy.
+  sweep([&, cols, seeded, fresh](std::size_t i, double* acc, double&) {
+    double* out = work.row(i).data();
+    if (seeded)
+      return K.copy_scale_accum(src.row(i).data(), out, cols,
+                                result.row_scale[i], result.col_scale.data(),
+                                acc);
+    if (!fresh) return K.copy_accum(src.row(i).data(), out, cols, acc);
+    K.add_into(out, acc, cols);
+    return K.sum(out, cols);
+  });
   const auto column_pass = [&] {
     for (std::size_t j = 0; j < cols; ++j) {
-      const double f = checked_scale_factor(ct, col_sums[j]);
-      factor[j] = f;
-      result.col_scale[j] *= f;
+      factor[j] = checked_scale_factor(ct, col_sums[j]);
+      result.col_scale[j] *= factor[j];
     }
-    std::fill(col_sums.begin(), col_sums.end(), 0.0);
-    for (std::size_t i = 0; i < rows; ++i)
-      row_sums[i] = K.scale_vec_accum(work.row(i).data(), factor.data(), cols,
-                                      col_sums.data());
-    double err = 0.0;
-    for (std::size_t j = 0; j < cols; ++j)
-      err = std::max(err, std::abs(col_sums[j] - ct));
-    return err;
+    sweep([&, cols](std::size_t i, double* acc, double&) {
+      return K.scale_vec_accum(work.row(i).data(), factor.data(), cols, acc);
+    });
+  };
+  const auto row_pass = [&] {
+    return sweep([&, cols, rt](std::size_t i, double* acc, double& err) {
+      const double f = checked_scale_factor(rt, row_sums[i]);
+      result.row_scale[i] *= f;
+      const double s = K.scale_accum(work.row(i).data(), cols, f, acc);
+      err = std::max(err, std::abs(s - rt));
+      return s;
+    });
   };
 
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
     // Eq. 9: one column pass and one row pass per iteration (column first
-    // unless the ordering ablation flips it). The second pass leaves its own
-    // dimension within floating-point noise of the target, and the first
-    // pass's dimension carries the true residual, already accumulated.
-    double first_err = 0.0, second_err = 0.0;
+    // unless the ordering ablation flips it). Either way the second pass
+    // leaves the final matrix's sums in row_sums and col_sums.
+    double residual = 0.0;
     if (options.row_first) {
-      first_err = row_pass();
-      second_err = column_pass();
-      // column_pass refilled row_sums with the final matrix's row sums.
-      first_err = 0.0;
+      row_pass();
+      column_pass();
       for (std::size_t i = 0; i < rows; ++i)
-        first_err = std::max(first_err, std::abs(row_sums[i] - rt));
+        residual = std::max(residual, std::abs(row_sums[i] - rt));
     } else {
-      first_err = column_pass();
-      second_err = row_pass();
-      // row_pass refilled col_sums with the final matrix's column sums.
-      first_err = 0.0;
-      for (std::size_t j = 0; j < cols; ++j)
-        first_err = std::max(first_err, std::abs(col_sums[j] - ct));
+      column_pass();
+      residual = row_pass();  // the row-sum deviations, already at hand
     }
+    for (std::size_t j = 0; j < cols; ++j)
+      residual = std::max(residual, std::abs(col_sums[j] - ct));
     result.iterations = it + 1;
-    result.residual = std::max(first_err, second_err);
-    if (result.residual < options.tolerance) {
+    result.residual = residual;
+    if (residual < options.tolerance) {
       result.converged = true;
       break;
     }
   }
+
+  if (!result.converged && options.throw_on_failure)
+    throw ConvergenceError(
+        "standardize: Sinkhorn iteration did not reach tolerance (pattern "
+        "may be decomposable; see Section VI)");
+}
+
+// The validating front end of standardize() and standardize_tiled():
+// input checks and the Section-VI diagnosis, then the kernel on the input
+// or, for limit_only patterns, on its total-support core (entries off
+// every positive diagonal decay to zero in the Sinkhorn limit but only at
+// rate O(1/k); dropping them up front leaves the limit unchanged and
+// restores geometric convergence).
+StandardFormResult standardize_validated(const Matrix& ecs,
+                                         const SinkhornOptions& options,
+                                         std::size_t tile_rows,
+                                         par::ThreadPool* pool) {
+  validate_input(ecs);
+  StandardFormResult result;
+  result.pattern = classify_pattern(ecs);
+  result.projected_to_core =
+      result.pattern == NormalizabilityClass::limit_only;
+  SinkhornScratch scratch;
+  if (result.projected_to_core)
+    run_sinkhorn(*graph::support_core(ecs), options, result, scratch,
+                 tile_rows, pool);
+  else
+    run_sinkhorn(ecs, options, result, scratch, tile_rows, pool);
+  return result;
 }
 
 }  // namespace
 
 StandardFormResult standardize(const Matrix& ecs,
                                const SinkhornOptions& options) {
-  StandardFormResult result;
-  Matrix work;
-  prepare(ecs, options, result, work);
-  std::vector<double> row_sums, col_sums, factor;
-  run_fused(work, options, result, row_sums, col_sums, factor, false);
-
-  result.standard = std::move(work);
-  if (!result.converged && options.throw_on_failure)
-    throw ConvergenceError(
-        "standardize: Sinkhorn iteration did not reach tolerance (pattern "
-        "may be decomposable; see Section VI)");
-  return result;
+  return standardize_validated(ecs, options, ecs.rows(), nullptr);
 }
 
 void standardize_positive_into(const Matrix& ecs,
                                const SinkhornOptions& options,
                                StandardFormResult& out) {
   detail::require_dims(!ecs.empty(), "standardize: empty matrix");
-  validate_warm_scale(options.warm_row_scale, ecs.rows(), "warm_row_scale");
-  validate_warm_scale(options.warm_col_scale, ecs.cols(), "warm_col_scale");
-  const std::size_t rows = ecs.rows();
-  const std::size_t cols = ecs.cols();
-
-  if (out.standard.rows() != rows || out.standard.cols() != cols)
-    out.standard = Matrix(rows, cols, 0.0);
-  out.row_scale.assign(rows, 1.0);
-  out.col_scale.assign(cols, 1.0);
-  out.iterations = 0;
-  out.converged = false;
-  out.residual = 0.0;
   out.pattern = NormalizabilityClass::positive;
   out.projected_to_core = false;
-  out.target_row_sum =
-      std::sqrt(static_cast<double>(cols) / static_cast<double>(rows));
-  out.target_col_sum =
-      std::sqrt(static_cast<double>(rows) / static_cast<double>(cols));
-
-  // One fused setup pass replaces the matrix copy, the warm-seed
-  // application, and run_fused's sum priming: each source entry is loaded
-  // once, seeded, stored, and accumulated into both sum vectors in the
-  // reference scan order, so the seeded matrix and the primed sums are
-  // bit-identical to the layered path in standardize().
-  const bool seeded =
-      !options.warm_row_scale.empty() || !options.warm_col_scale.empty();
-  if (!options.warm_row_scale.empty()) out.row_scale = options.warm_row_scale;
-  if (!options.warm_col_scale.empty()) out.col_scale = options.warm_col_scale;
-  thread_local std::vector<double> row_sums, col_sums, factor;
-  row_sums.assign(rows, 0.0);
-  col_sums.assign(cols, 0.0);
-  const auto& K = simd::kernels();
-  for (std::size_t i = 0; i < rows; ++i) {
-    const auto src = ecs.row(i);
-    const auto dst = out.standard.row(i);
-    row_sums[i] =
-        seeded ? K.copy_scale_accum(src.data(), dst.data(), cols,
-                                    out.row_scale[i], out.col_scale.data(),
-                                    col_sums.data())
-               : K.copy_accum(src.data(), dst.data(), cols, col_sums.data());
-  }
-
-  run_fused(out.standard, options, out, row_sums, col_sums, factor, true);
-  if (!out.converged && options.throw_on_failure)
-    throw ConvergenceError(
-        "standardize: Sinkhorn iteration did not reach tolerance (pattern "
-        "may be decomposable; see Section VI)");
+  thread_local SinkhornScratch scratch;
+  run_sinkhorn(ecs, options, out, scratch, ecs.rows(), nullptr);
 }
 
 StandardFormResult standardize_reference(const Matrix& ecs,
@@ -360,136 +401,7 @@ StandardFormResult standardize_tiled(const Matrix& ecs,
                                      std::size_t tile_rows) {
   detail::require_value(tile_rows > 0,
                         "standardize_tiled: tile_rows must be positive");
-  StandardFormResult result;
-  Matrix work;
-  prepare(ecs, options, result, work);
-  const std::size_t rows = work.rows();
-  const std::size_t cols = work.cols();
-  const double rt = result.target_row_sum;
-  const double ct = result.target_col_sum;
-  const std::size_t tiles = (rows + tile_rows - 1) / tile_rows;
-
-  std::vector<double> row_sums(rows, 0.0);
-  std::vector<double> col_sums(cols, 0.0);
-  std::vector<double> row_factor(rows, 0.0);
-  std::vector<double> col_factor(cols, 0.0);
-  // Tile-local column accumulators and per-tile row-residual maxima. The
-  // accumulators fold into col_sums in ascending tile order, so the
-  // summation order depends only on tile_rows — never on how tiles land on
-  // threads — which makes the whole iteration bit-identical across thread
-  // counts.
-  std::vector<std::vector<double>> tile_cols(tiles,
-                                             std::vector<double>(cols, 0.0));
-  std::vector<double> tile_err(tiles, 0.0);
-
-  const auto tile_range = [&](std::size_t t) {
-    const std::size_t i0 = t * tile_rows;
-    return std::pair{i0, std::min(rows, i0 + tile_rows)};
-  };
-  const auto fold_cols = [&] {
-    std::fill(col_sums.begin(), col_sums.end(), 0.0);
-    const auto& K = simd::kernels();
-    for (std::size_t t = 0; t < tiles; ++t)
-      K.add_into(tile_cols[t].data(), col_sums.data(), cols);
-  };
-
-  // Prime the sums of the first pass's dimension.
-  if (options.row_first) {
-    par::parallel_for(pool, 0, tiles, [&](std::size_t t) {
-      const auto [i0, i1] = tile_range(t);
-      for (std::size_t i = i0; i < i1; ++i) row_sums[i] = work.row_sum(i);
-    });
-  } else {
-    par::parallel_for(pool, 0, tiles, [&](std::size_t t) {
-      const auto [i0, i1] = tile_range(t);
-      const auto& K = simd::kernels();
-      auto& acc = tile_cols[t];
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (std::size_t i = i0; i < i1; ++i)
-        K.add_into(work.row(i).data(), acc.data(), cols);
-    });
-    fold_cols();
-  }
-
-  // Same pass structure as run_fused, with the row-major application sweep
-  // split over tiles: scale factors first (serial, guarded), then the
-  // fused scale+accumulate kernels per tile, then the ordered fold.
-  const auto row_pass = [&] {
-    for (std::size_t i = 0; i < rows; ++i) {
-      row_factor[i] = checked_scale_factor(rt, row_sums[i]);
-      result.row_scale[i] *= row_factor[i];
-    }
-    par::parallel_for(pool, 0, tiles, [&](std::size_t t) {
-      const auto [i0, i1] = tile_range(t);
-      const auto& K = simd::kernels();
-      auto& acc = tile_cols[t];
-      std::fill(acc.begin(), acc.end(), 0.0);
-      double err = 0.0;
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double s =
-            K.scale_accum(work.row(i).data(), cols, row_factor[i], acc.data());
-        err = std::max(err, std::abs(s - rt));
-      }
-      tile_err[t] = err;
-    });
-    fold_cols();
-    double err = 0.0;
-    for (std::size_t t = 0; t < tiles; ++t) err = std::max(err, tile_err[t]);
-    return err;
-  };
-  const auto column_pass = [&] {
-    for (std::size_t j = 0; j < cols; ++j) {
-      col_factor[j] = checked_scale_factor(ct, col_sums[j]);
-      result.col_scale[j] *= col_factor[j];
-    }
-    par::parallel_for(pool, 0, tiles, [&](std::size_t t) {
-      const auto [i0, i1] = tile_range(t);
-      const auto& K = simd::kernels();
-      auto& acc = tile_cols[t];
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (std::size_t i = i0; i < i1; ++i)
-        row_sums[i] = K.scale_vec_accum(work.row(i).data(), col_factor.data(),
-                                        cols, acc.data());
-    });
-    fold_cols();
-    double err = 0.0;
-    for (std::size_t j = 0; j < cols; ++j)
-      err = std::max(err, std::abs(col_sums[j] - ct));
-    return err;
-  };
-
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    double first_err = 0.0;
-    double second_err = 0.0;
-    if (options.row_first) {
-      first_err = row_pass();
-      second_err = column_pass();
-      // column_pass refilled row_sums with the final matrix's row sums.
-      first_err = 0.0;
-      for (std::size_t i = 0; i < rows; ++i)
-        first_err = std::max(first_err, std::abs(row_sums[i] - rt));
-    } else {
-      first_err = column_pass();
-      second_err = row_pass();
-      // row_pass refolded col_sums with the final matrix's column sums.
-      first_err = 0.0;
-      for (std::size_t j = 0; j < cols; ++j)
-        first_err = std::max(first_err, std::abs(col_sums[j] - ct));
-    }
-    result.iterations = it + 1;
-    result.residual = std::max(first_err, second_err);
-    if (result.residual < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.standard = std::move(work);
-  if (!result.converged && options.throw_on_failure)
-    throw ConvergenceError(
-        "standardize: Sinkhorn iteration did not reach tolerance (pattern "
-        "may be decomposable; see Section VI)");
-  return result;
+  return standardize_validated(ecs, options, tile_rows, &pool);
 }
 
 StandardFormResult standardize(const EcsMatrix& ecs, const Weights& w,

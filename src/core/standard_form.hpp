@@ -98,11 +98,11 @@ struct StandardFormResult {
 /// Runs eq. 9 on a raw nonnegative matrix (no all-zero rows/columns).
 ///
 /// The iteration is fused: each normalization pass streams the matrix once
-/// in row-major order, updating the scale vectors and accumulating the
-/// opposite dimension's sums (and the convergence residual) as it goes, so
-/// no strided column traversals or separate residual passes are needed.
-/// Summation order matches the unfused reference exactly, so results are
-/// bit-identical to standardize_reference for empty warm-start seeds.
+/// in row-major order, scaling it and accumulating both dimensions' sums
+/// (hence the convergence residual) as it goes, so no strided column
+/// traversals or separate residual passes are needed. Summation order
+/// matches the unfused reference exactly, so results are bit-identical to
+/// standardize_reference for empty warm-start seeds.
 StandardFormResult standardize(const linalg::Matrix& ecs,
                                const SinkhornOptions& options = {});
 
@@ -118,17 +118,18 @@ void standardize_positive_into(const linalg::Matrix& ecs,
                                StandardFormResult& out);
 
 /// Cache-blocked, pool-parallel variant of standardize() for large
-/// matrices (the size-frontier characterization path). Each pass computes
-/// its scale factors serially (O(rows + cols)) and applies them tile by
-/// tile on the pool through the fused Sinkhorn kernels; every tile
-/// accumulates the opposite dimension's sums into a tile-local buffer, and
-/// the buffers fold in ascending tile order afterwards. The summation
-/// order is therefore a function of `tile_rows` alone, so results are
-/// bit-identical across thread counts (including a 1-thread pool). They
-/// are NOT bit-identical to the serial standardize() twin — its single
-/// row-major accumulator associates column additions differently — but
-/// both converge to the same unique standard form, and the rsvd_equiv
-/// tests pin the agreement down to the Sinkhorn tolerance.
+/// matrices (the size-frontier characterization path). Same kernel as
+/// standardize(), with each row-major sweep split into tiles of
+/// `tile_rows` rows on the pool: every tile accumulates column sums into
+/// a tile-local buffer, and the buffers fold in ascending tile order
+/// afterwards. The summation order is therefore a function of `tile_rows`
+/// alone, so results are bit-identical across thread counts (including a
+/// 1-thread pool). With one tile (`tile_rows >= rows`) the result is
+/// bit-identical to standardize(). With several tiles it is a close twin
+/// only — the fold associates column additions differently from one
+/// row-major accumulator — but both converge to the same unique standard
+/// form, and the rsvd_equiv tests pin the agreement down to the Sinkhorn
+/// tolerance.
 StandardFormResult standardize_tiled(const linalg::Matrix& ecs,
                                      const SinkhornOptions& options,
                                      par::ThreadPool& pool,

@@ -30,8 +30,8 @@ AffinityAnalysis affinity_analysis_blocked(const EcsMatrix& ecs,
                                            const SinkhornOptions& options,
                                            const LargePathOptions& large) {
   par::ThreadPool& pool = large.pool ? *large.pool : par::shared_pool();
-  const StandardFormResult sf = standardize_tiled(
-      ecs.weighted_values(w), options, pool, large.sinkhorn_tile_rows);
+  const StandardFormResult sf =
+      standardize_tiled(ecs.weighted_values(w), options, pool);
 
   AffinityAnalysis out;
   out.task_names = ecs.task_names();

@@ -57,9 +57,6 @@ inline constexpr int kRankStreamOut = 400;
 /// should the two scopes ever merge.
 inline constexpr int kRankStreamFlight = 410;
 
-/// serve_tcp's per-connection write mutex (serializes send()).
-inline constexpr int kRankConnectionWrite = 420;
-
 /// The event loop's WorkerChannel::mutex — completion handoff from pool
 /// workers back to the owning loop thread.
 inline constexpr int kRankWorkerChannel = 430;

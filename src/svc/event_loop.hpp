@@ -10,12 +10,11 @@
 // eventfd, then written through a bounded per-connection buffer.
 //
 // The Server behind the loop is unchanged: the same admission queue,
-// deadline handling, sharded LRU cache, and compute ThreadPool as the
-// blocking front ends, so responses are bit-identical to serve_tcp /
-// serve_stream (asserted by the svc_equiv tests). What the loop adds:
+// deadline handling, sharded LRU cache, and compute ThreadPool as
+// Server::submit and serve_stream, so responses are bit-identical to
+// theirs (asserted by the svc_equiv tests). What the loop adds:
 //
-//  - scale: one thread per worker regardless of connection count (the
-//    blocking path burns a thread per connection);
+//  - scale: one thread per worker regardless of connection count;
 //  - warm-hit fast path: cacheable requests whose cache shard is owned by
 //    the accepting worker (consistent-hash ShardMap) are answered inline
 //    on the loop thread on a hit, skipping the queue/pool round trip;

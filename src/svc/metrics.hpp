@@ -99,9 +99,9 @@ class Metrics {
     rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Connection-level gauges, maintained by the socket front ends (both the
-  /// blocking accept loop and the epoll event loop). `active` is the only
-  /// non-monotone member (incremented on accept, decremented on close).
+  /// Connection-level gauges, maintained by the epoll event loop. `active`
+  /// is the only non-monotone member (incremented on accept, decremented
+  /// on close).
   struct ConnectionGauges {
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> active{0};

@@ -1,6 +1,6 @@
-// Small POSIX socket helpers shared by the service front ends (blocking
-// accept loop, epoll event loop, load-generator client harness). All are
-// no-ops on platforms without BSD sockets.
+// Small POSIX socket helpers shared by the epoll event loop and the
+// load-generator client harness. All are no-ops on platforms without BSD
+// sockets.
 #pragma once
 
 #include <cstddef>

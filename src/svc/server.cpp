@@ -2,24 +2,13 @@
 
 #include <istream>
 #include <ostream>
-#include <thread>
 #include <utility>
-#include <vector>
 
 #include "base/error.hpp"
 #include "support/lock_ranks.hpp"
 #include "support/mutex.hpp"
 #include "support/thread_annotations.hpp"
-#include "svc/net_util.hpp"
 #include "svc/session.hpp"
-
-#if HETERO_SVC_HAVE_SOCKETS
-#include <arpa/inet.h>
-#include <cerrno>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
 
 namespace hetero::svc {
 namespace {
@@ -342,131 +331,5 @@ void Server::serve_stream(std::istream& in, std::ostream& out) {
   }
   gate.wait_drained();
 }
-
-#if HETERO_SVC_HAVE_SOCKETS
-
-namespace {
-
-// Shared per-connection state: responses from worker threads and the
-// reader loop both hold a reference; the socket closes when the last one
-// drops (so a late response never writes into a recycled fd).
-struct Connection {
-  Connection(int descriptor, Metrics::ConnectionGauges& g)
-      : fd(descriptor), gauges(g) {}
-  ~Connection() {
-    ::close(fd);
-    gauges.active.fetch_sub(1, std::memory_order_relaxed);
-  }
-  Connection(const Connection&) = delete;
-  Connection& operator=(const Connection&) = delete;
-
-  void send_line(std::string response) {
-    response += '\n';
-    const support::MutexLock lock(mutex);
-    std::size_t off = 0;
-    while (off < response.size()) {
-      // MSG_NOSIGNAL: a peer that closed mid-write yields EPIPE, never a
-      // process-killing SIGPIPE (SIGPIPE is also ignored process-wide by
-      // the socket front ends, for platforms where the flag is missing).
-      const auto sent = ::send(fd, response.data() + off,
-                               response.size() - off, MSG_NOSIGNAL);
-      if (sent < 0 && errno == EINTR) continue;
-      if (sent <= 0) return;  // peer went away; response is undeliverable
-      off += static_cast<std::size_t>(sent);
-      gauges.bytes_out.fetch_add(static_cast<std::uint64_t>(sent),
-                                 std::memory_order_relaxed);
-    }
-  }
-
-  const int fd;
-  Metrics::ConnectionGauges& gauges;
-  support::Mutex mutex{support::kRankConnectionWrite, "tcp-conn-write"};
-};
-
-}  // namespace
-
-int Server::serve_tcp(std::uint16_t port, std::ostream& log) {
-  net::ignore_sigpipe();
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd < 0) {
-    log << "svc: socket() failed\n";
-    return 1;
-  }
-  const int enable = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof enable);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) < 0) {
-    log << "svc: bind() to port " << port << " failed\n";
-    ::close(listen_fd);
-    return 1;
-  }
-  if (::listen(listen_fd, 64) < 0) {
-    log << "svc: listen() failed\n";
-    ::close(listen_fd);
-    return 1;
-  }
-  log << "svc: listening on port " << port << '\n';
-
-  auto& gauges = metrics_.connections();
-  std::vector<std::jthread> readers;
-  while (true) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      // Transient accept failures are not fatal: a signal (EINTR) or a
-      // peer that reset before we got to it (ECONNABORTED) just means
-      // "try again"; so does running out of descriptors for a moment.
-      if (errno == EINTR || errno == ECONNABORTED || errno == EMFILE ||
-          errno == ENFILE)
-        continue;
-      break;
-    }
-    gauges.accepted.fetch_add(1, std::memory_order_relaxed);
-    gauges.active.fetch_add(1, std::memory_order_relaxed);
-    readers.emplace_back([this, fd, &gauges] {
-      const auto conn = std::make_shared<Connection>(fd, gauges);
-      // Per-connection streaming session; session requests respond inline
-      // on this reader thread, so the session outlives every use.
-      StreamSession session;
-      std::string buffer;
-      char chunk[4096];
-      while (true) {
-        const auto n = ::recv(fd, chunk, sizeof chunk, 0);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) break;
-        gauges.bytes_in.fetch_add(static_cast<std::uint64_t>(n),
-                                  std::memory_order_relaxed);
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t newline;
-        while ((newline = buffer.find('\n')) != std::string::npos) {
-          std::string request_line = buffer.substr(0, newline);
-          buffer.erase(0, newline + 1);
-          if (request_line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-          submit(
-              request_line,
-              [conn](std::string response) {
-                conn->send_line(std::move(response));
-              },
-              &session);
-        }
-      }
-    });
-  }
-  ::close(listen_fd);
-  return 0;
-}
-
-#else
-
-int Server::serve_tcp(std::uint16_t, std::ostream& log) {
-  log << "svc: TCP mode is not supported on this platform\n";
-  return 1;
-}
-
-#endif
 
 }  // namespace hetero::svc

@@ -11,9 +11,9 @@
 // never a silent drop.
 //
 // Front ends: serve_stream() speaks newline-delimited JSON over any
-// istream/ostream pair (the stdin/stdout mode of hetero_served);
-// serve_tcp() accepts TCP connections on a port and runs the same
-// per-line protocol over each socket.
+// istream/ostream pair (the stdin/stdout mode of hetero_served); TCP is
+// served by svc::EventLoopServer (event_loop.hpp), which runs the same
+// per-line protocol over each socket through submit()/submit_fast().
 #pragma once
 
 #include <chrono>
@@ -117,12 +117,6 @@ class Server {
   /// arrival order — clients correlate by id), and returns once every
   /// in-flight request has been answered.
   void serve_stream(std::istream& in, std::ostream& out);
-
-  /// Listens on `port` (all interfaces) and serves each accepted
-  /// connection with the per-line protocol. Blocks until the listening
-  /// socket fails; returns 0 on clean shutdown, nonzero on setup failure
-  /// (message goes to `log`).
-  int serve_tcp(std::uint16_t port, std::ostream& log);
 
   Metrics& metrics() noexcept { return metrics_; }
   ResultCache& cache() noexcept { return cache_; }

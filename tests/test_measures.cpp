@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -35,6 +36,13 @@ struct Fig2Case {
   std::vector<double> performances;
   double mph, r, g, cov;
 };
+
+// Print a case by its performance vector. The default printout dumps the raw
+// bytes, which hold heap addresses that change from run to run, and ctest
+// names each discovered test after that printout.
+void PrintTo(const Fig2Case& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.performances);
+}
 
 class Fig2 : public ::testing::TestWithParam<Fig2Case> {};
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/measures.hpp"
 #include "core/standard_form.hpp"
@@ -28,6 +29,11 @@ struct Fig4Case {
   Matrix ecs;
   bool high_mph, high_tdh, high_tma;
 };
+
+// Print a case by its corner name. The default printout dumps the raw bytes,
+// which hold addresses that change from run to run, and ctest names each
+// discovered test after that printout.
+void PrintTo(const Fig4Case& c, std::ostream* os) { *os << c.name; }
 
 class Fig4 : public ::testing::TestWithParam<Fig4Case> {};
 

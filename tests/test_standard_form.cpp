@@ -373,6 +373,9 @@ TEST(StandardFormOverflow, NonFiniteSumsThrowTypedError) {
   EXPECT_THROW(standardize_reference(huge), ScaleOverflowError);
   ThreadPool pool(2);
   EXPECT_THROW(standardize_tiled(huge, {}, pool), ScaleOverflowError);
+  EXPECT_THROW(standardize_tiled(huge, {}, pool, 1), ScaleOverflowError);
+  StandardFormResult out;
+  EXPECT_THROW(standardize_positive_into(huge, {}, out), ScaleOverflowError);
   // ScaleOverflowError is catchable as the ValueError family.
   EXPECT_THROW(standardize(huge), ValueError);
 }
@@ -401,7 +404,45 @@ TEST(StandardFormTiled, MatchesFusedAcrossShapes) {
     EXPECT_EQ(tiled.iterations, fused.iterations) << t << "x" << m;
     EXPECT_LE(max_abs_diff(tiled.standard, fused.standard), 1e-8)
         << t << "x" << m;
+
+    // One full-height tile is the serial sweep: bit-identical to
+    // standardize() in every pass order and from a warm seed.
+    SinkhornOptions row_first;
+    row_first.row_first = true;
+    SinkhornOptions warm;
+    warm.warm_row_scale.assign(t, 0.5);
+    warm.warm_col_scale = fused.col_scale;
+    for (const SinkhornOptions& opts : {SinkhornOptions{}, row_first, warm}) {
+      const auto serial = standardize(ecs, opts);
+      const auto whole = standardize_tiled(ecs, opts, pool, t);
+      EXPECT_EQ(whole.standard, serial.standard) << t << "x" << m;
+      EXPECT_EQ(whole.row_scale, serial.row_scale) << t << "x" << m;
+      EXPECT_EQ(whole.col_scale, serial.col_scale) << t << "x" << m;
+      EXPECT_EQ(whole.iterations, serial.iterations) << t << "x" << m;
+      EXPECT_EQ(whole.residual, serial.residual) << t << "x" << m;
+    }
   }
+}
+
+TEST(StandardFormTiled, NonConvergenceThrowsOnEveryEntryPoint) {
+  // One iteration cannot reach 1e-8 on a generic positive matrix; every
+  // entry point reports it the same way (converged == false, or the
+  // ConvergenceError under throw_on_failure).
+  const Matrix ecs = random_positive(9, 5, 33);
+  SinkhornOptions opts;
+  opts.max_iterations = 1;
+  ThreadPool pool(2);
+  StandardFormResult out;
+  standardize_positive_into(ecs, opts, out);
+  EXPECT_FALSE(out.converged);
+  EXPECT_EQ(out.iterations, 1u);
+  EXPECT_FALSE(standardize_tiled(ecs, opts, pool, 2).converged);
+
+  opts.throw_on_failure = true;
+  EXPECT_THROW(standardize(ecs, opts), ConvergenceError);
+  EXPECT_THROW(standardize_tiled(ecs, opts, pool), ConvergenceError);
+  EXPECT_THROW(standardize_tiled(ecs, opts, pool, 2), ConvergenceError);
+  EXPECT_THROW(standardize_positive_into(ecs, opts, out), ConvergenceError);
 }
 
 TEST(StandardFormTiled, ValidatesLikeTheFusedPath) {

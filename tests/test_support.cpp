@@ -223,8 +223,7 @@ TEST(Mutex, RegistryRanksAreStrictlyLayered) {
   EXPECT_LT(support::kRankPoolQueue, support::kRankParallelForState);
   EXPECT_LT(support::kRankParallelForState, support::kRankStreamOut);
   EXPECT_LT(support::kRankStreamOut, support::kRankStreamFlight);
-  EXPECT_LT(support::kRankStreamFlight, support::kRankConnectionWrite);
-  EXPECT_LT(support::kRankConnectionWrite, support::kRankWorkerChannel);
+  EXPECT_LT(support::kRankStreamFlight, support::kRankWorkerChannel);
 }
 
 // A minimal producer/consumer over Mutex+CondVar, annotated the way the

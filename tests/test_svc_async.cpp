@@ -649,6 +649,15 @@ TEST(SvcEventLoop, BackpressureClosesUnresponsivePeer) {
   for (int i = 0; i < 128; ++i) burst += line + "\n";
   client.send_all(burst);  // may partially fail once the server closes
 
+  // Still without reading, wait for the close (bounded by the idle-timeout
+  // backstop). Draining first would let a CPU-starved server find every
+  // response already consumed, keeping its unsent bytes under the limit.
+  const auto& closed = server.metrics().connections().backpressure_closed;
+  const auto deadline =
+      std::chrono::steady_clock::now() + options.idle_timeout;
+  while (closed.load() < 1 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
   // The server must close us; reading everything left ends in EOF.
   while (client.recv_line().has_value()) {
   }
