@@ -20,6 +20,12 @@
 //   BM_ServiceHandleInline      — queue/pool bypassed (Server::handle), to
 //                                 separate protocol+pipeline cost from
 //                                 dispatch cost
+//   BM_ParseRequest             — svc::parse_request of one characterize
+//                                 line (64x8, 128x16): the svc.parse_us
+//                                 layer of a cold request, no server
+//   BM_CharacterizeResultJson   — io::to_json of one EnvironmentReport
+//                                 (64x8, 128x16): the io.result_json_us
+//                                 layer, no server
 //
 // TCP harness mode (bypasses google-benchmark; this is the BENCH_pr7
 // number): `perf_service --clients=N` starts an in-process epoll
@@ -58,6 +64,7 @@
 #include <string>
 #include <vector>
 
+#include "core/measures.hpp"
 #include "etcgen/range_based.hpp"
 #include "etcgen/rng.hpp"
 #include "io/json.hpp"
@@ -256,6 +263,36 @@ void BM_ServiceHandleInline(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ServiceHandleInline);
+
+// The two text layers of a cold characterize, measured without a server.
+// Args = {tasks, machines}; 64x8 is the perfbench fleet_fresh shape.
+void BM_ParseRequest(benchmark::State& state) {
+  const std::string line = request_line(
+      make_matrix(static_cast<std::size_t>(state.range(0)),
+                  static_cast<std::size_t>(state.range(1)), 7),
+      "characterize", "");
+  for (auto _ : state) {
+    const hetero::svc::Request request = hetero::svc::parse_request(line);
+    benchmark::DoNotOptimize(&request);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(line.size()));
+}
+BENCHMARK(BM_ParseRequest)->Args({64, 8})->Args({128, 16});
+
+void BM_CharacterizeResultJson(benchmark::State& state) {
+  const auto ecs = make_matrix(static_cast<std::size_t>(state.range(0)),
+                               static_cast<std::size_t>(state.range(1)), 7)
+                       .to_ecs();
+  const auto report = hetero::core::characterize(ecs);
+  for (auto _ : state) {
+    const std::string json = hetero::io::to_json(report, ecs);
+    benchmark::DoNotOptimize(json.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CharacterizeResultJson)->Args({64, 8})->Args({128, 16});
 
 // ---------------------------------------------------------------------------
 // TCP harness mode (--clients=N).

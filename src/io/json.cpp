@@ -1,10 +1,11 @@
 #include "io/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "base/error.hpp"
@@ -12,28 +13,65 @@
 namespace hetero::io {
 namespace {
 
-void append_number_array(std::ostringstream& os,
-                         const std::vector<double>& values) {
-  os << '[';
-  for (std::size_t i = 0; i < values.size(); ++i)
-    os << (i ? "," : "") << json_number(values[i]);
-  os << ']';
+void append_escaped(std::string& out, std::string_view s) {
+  std::size_t verbatim = 0;  // start of the pending run of plain bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto u = static_cast<unsigned char>(s[i]);
+    if (u != '"' && u != '\\' && u >= 0x20) continue;
+    out.append(s.substr(verbatim, i - verbatim));
+    verbatim = i + 1;
+    switch (u) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[u >> 4];
+        out += kHex[u & 0xF];
+      }
+    }
+  }
+  out.append(s.substr(verbatim));
 }
 
-void append_string_array(std::ostringstream& os,
-                         const std::vector<std::string>& values) {
-  os << '[';
-  for (std::size_t i = 0; i < values.size(); ++i)
-    os << (i ? "," : "") << '"' << json_escape(values[i]) << '"';
-  os << ']';
+void append_quoted(std::string& out, std::string_view s) {
+  out += '"';
+  append_escaped(out, s);
+  out += '"';
 }
 
-void append_index_array(std::ostringstream& os,
-                        const std::vector<std::size_t>& values) {
-  os << '[';
-  for (std::size_t i = 0; i < values.size(); ++i)
-    os << (i ? "," : "") << values[i];
-  os << ']';
+void append_bool(std::string& out, bool b) { out += b ? "true" : "false"; }
+
+void append_integer(std::string& out, std::uint64_t n) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, n).ptr);
+}
+
+/// [e0,e1,...] with each element written by `append_one(out, e)`.
+template <typename Range, typename AppendOne>
+void append_array(std::string& out, const Range& values,
+                  AppendOne append_one) {
+  out += '[';
+  bool first = true;
+  for (const auto& v : values) {
+    if (!first) out += ',';
+    first = false;
+    append_one(out, v);
+  }
+  out += ']';
+}
+
+void append_measures(std::string& out, const core::MeasureSet& m) {
+  out += "{\"mph\":";
+  append_json_number(out, m.mph);
+  out += ",\"tdh\":";
+  append_json_number(out, m.tdh);
+  out += ",\"tma\":";
+  append_json_number(out, m.tma);
+  out += '}';
 }
 
 }  // namespace
@@ -41,97 +79,100 @@ void append_index_array(std::ostringstream& os,
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_escaped(out, s);
   return out;
 }
 
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
+void append_json_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  // general + precision 17 is specified as printf's %.17g.
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value,
+                                std::chars_format::general, 17)
+                      .ptr);
+}
+
+std::string json_number(double value) {
+  std::string out;
+  append_json_number(out, value);
+  return out;
 }
 
 std::string to_json(const core::MeasureSet& measures) {
-  std::ostringstream os;
-  os << "{\"mph\":" << json_number(measures.mph)
-     << ",\"tdh\":" << json_number(measures.tdh)
-     << ",\"tma\":" << json_number(measures.tma) << '}';
-  return std::move(os).str();
+  std::string out;
+  append_measures(out, measures);
+  return out;
 }
 
 std::string to_json(const core::EnvironmentReport& report,
                     const core::EcsMatrix& ecs) {
-  std::ostringstream os;
-  os << "{\"measures\":" << to_json(report.measures);
-  os << ",\"alternatives\":{\"ratio\":" << json_number(report.mph_alt_ratio)
-     << ",\"geometric\":" << json_number(report.mph_alt_geometric)
-     << ",\"cov\":" << json_number(report.mph_alt_cov) << '}';
-  os << ",\"machines\":";
-  append_string_array(os, ecs.machine_names());
-  os << ",\"machine_performances\":";
-  append_number_array(os, report.machine_performances);
-  os << ",\"tasks\":";
-  append_string_array(os, ecs.task_names());
-  os << ",\"task_difficulties\":";
-  append_number_array(os, report.task_difficulties);
-  const auto& sf = report.tma_detail.standard_form;
-  os << ",\"tma_detail\":{\"used_standard_form\":"
-     << (report.tma_detail.used_standard_form ? "true" : "false")
-     << ",\"used_blocked_path\":"
-     << (report.tma_detail.used_blocked_path ? "true" : "false")
-     << ",\"singular_values\":";
-  append_number_array(os, report.tma_detail.singular_values);
-  os << ",\"sinkhorn_iterations\":" << sf.iterations
-     << ",\"converged\":" << (sf.converged ? "true" : "false")
-     << ",\"residual\":" << json_number(sf.residual) << "}}";
-  return std::move(os).str();
+  const auto& detail = report.tma_detail;
+  const auto& sf = detail.standard_form;
+  std::string out = "{\"measures\":";
+  append_measures(out, report.measures);
+  out += ",\"alternatives\":{\"ratio\":";
+  append_json_number(out, report.mph_alt_ratio);
+  out += ",\"geometric\":";
+  append_json_number(out, report.mph_alt_geometric);
+  out += ",\"cov\":";
+  append_json_number(out, report.mph_alt_cov);
+  out += "},\"machines\":";
+  append_array(out, ecs.machine_names(), append_quoted);
+  out += ",\"machine_performances\":";
+  append_array(out, report.machine_performances, append_json_number);
+  out += ",\"tasks\":";
+  append_array(out, ecs.task_names(), append_quoted);
+  out += ",\"task_difficulties\":";
+  append_array(out, report.task_difficulties, append_json_number);
+  out += ",\"tma_detail\":{\"used_standard_form\":";
+  append_bool(out, detail.used_standard_form);
+  out += ",\"used_blocked_path\":";
+  append_bool(out, detail.used_blocked_path);
+  out += ",\"singular_values\":";
+  append_array(out, detail.singular_values, append_json_number);
+  out += ",\"sinkhorn_iterations\":";
+  append_integer(out, sf.iterations);
+  out += ",\"converged\":";
+  append_bool(out, sf.converged);
+  out += ",\"residual\":";
+  append_json_number(out, sf.residual);
+  out += "}}";
+  return out;
 }
 
 std::string to_json(const core::EtcMatrix& etc) {
-  std::ostringstream os;
-  os << "{\"tasks\":";
-  append_string_array(os, etc.task_names());
-  os << ",\"machines\":";
-  append_string_array(os, etc.machine_names());
-  os << ",\"etc\":[";
+  std::string out = "{\"tasks\":";
+  append_array(out, etc.task_names(), append_quoted);
+  out += ",\"machines\":";
+  append_array(out, etc.machine_names(), append_quoted);
+  out += ",\"etc\":[";
   for (std::size_t i = 0; i < etc.task_count(); ++i) {
-    os << (i ? "," : "") << '[';
-    for (std::size_t j = 0; j < etc.machine_count(); ++j)
-      os << (j ? "," : "") << json_number(etc(i, j));
-    os << ']';
+    if (i) out += ',';
+    out += '[';
+    for (std::size_t j = 0; j < etc.machine_count(); ++j) {
+      if (j) out += ',';
+      append_json_number(out, etc(i, j));
+    }
+    out += ']';
   }
-  os << "]}";
-  return std::move(os).str();
+  out += "]}";
+  return out;
 }
 
 std::string to_json(const sched::ScheduleSummary& summary) {
-  std::ostringstream os;
-  os << "{\"heuristic\":\"" << json_escape(summary.heuristic)
-     << "\",\"makespan\":" << json_number(summary.makespan)
-     << ",\"assignment\":";
-  append_index_array(os, summary.assignment);
-  os << ",\"machine_loads\":";
-  append_number_array(os, summary.machine_loads);
-  os << '}';
-  return std::move(os).str();
+  std::string out = "{\"heuristic\":";
+  append_quoted(out, summary.heuristic);
+  out += ",\"makespan\":";
+  append_json_number(out, summary.makespan);
+  out += ",\"assignment\":";
+  append_array(out, summary.assignment, append_integer);
+  out += ",\"machine_loads\":";
+  append_array(out, summary.machine_loads, append_json_number);
+  out += '}';
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -139,67 +180,63 @@ std::string to_json(const sched::ScheduleSummary& summary) {
 
 JsonValue JsonValue::make_bool(bool b) {
   JsonValue v;
-  v.kind_ = Kind::boolean;
-  v.bool_ = b;
+  v.value_.emplace<bool>(b);
   return v;
 }
 
 JsonValue JsonValue::make_number(double n) {
   JsonValue v;
-  v.kind_ = Kind::number;
-  v.number_ = n;
+  v.value_.emplace<double>(n);
   return v;
 }
 
 JsonValue JsonValue::make_string(std::string s) {
   JsonValue v;
-  v.kind_ = Kind::string;
-  v.string_ = std::move(s);
+  v.value_.emplace<std::string>(std::move(s));
   return v;
 }
 
 JsonValue JsonValue::make_array(Array a) {
   JsonValue v;
-  v.kind_ = Kind::array;
-  v.array_ = std::move(a);
+  v.value_.emplace<Array>(std::move(a));
   return v;
 }
 
 JsonValue JsonValue::make_object(Object o) {
   JsonValue v;
-  v.kind_ = Kind::object;
-  v.object_ = std::move(o);
+  v.value_.emplace<Object>(std::move(o));
   return v;
 }
 
 bool JsonValue::as_bool() const {
   detail::require_value(is_bool(), "json: value is not a boolean");
-  return bool_;
+  return *std::get_if<bool>(&value_);
 }
 
 double JsonValue::as_number() const {
   detail::require_value(is_number(), "json: value is not a number");
-  return number_;
+  return *std::get_if<double>(&value_);
 }
 
 const std::string& JsonValue::as_string() const {
   detail::require_value(is_string(), "json: value is not a string");
-  return string_;
+  return *std::get_if<std::string>(&value_);
 }
 
 const JsonValue::Array& JsonValue::as_array() const {
   detail::require_value(is_array(), "json: value is not an array");
-  return array_;
+  return *std::get_if<Array>(&value_);
 }
 
 const JsonValue::Object& JsonValue::as_object() const {
   detail::require_value(is_object(), "json: value is not an object");
-  return object_;
+  return *std::get_if<Object>(&value_);
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const noexcept {
-  if (!is_object()) return nullptr;
-  for (const auto& [k, v] : object_)
+  const Object* object = std::get_if<Object>(&value_);
+  if (object == nullptr) return nullptr;
+  for (const auto& [k, v] : *object)
     if (k == key) return &v;
   return nullptr;
 }
@@ -218,6 +255,17 @@ const JsonValue& JsonValue::at(std::string_view key) const {
 namespace {
 
 constexpr int kMaxDepth = 128;
+// Number tokens this long or longer are rejected outright.
+constexpr std::size_t kMaxNumberChars = 64;
+
+/// Moves stack[base, end) into a container sized once, and pops it.
+template <typename Stack>
+Stack pop_frame(Stack& stack, std::size_t base) {
+  Stack frame(std::make_move_iterator(stack.begin() + base),
+              std::make_move_iterator(stack.end()));
+  stack.erase(stack.begin() + base, stack.end());
+  return frame;
+}
 
 class Parser {
  public:
@@ -280,48 +328,51 @@ class Parser {
     }
   }
 
+  // Containers gather their children on the parser's stacks (members_,
+  // elements_) above a base mark, so a nested container's frame sits on
+  // top of its parent's and is popped before the parent resumes.
   JsonValue parse_object(int depth) {
     expect('{');
-    JsonValue::Object members;
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
-      return JsonValue::make_object(std::move(members));
+      return JsonValue::make_object({});
     }
+    const std::size_t base = members_.size();
     while (true) {
       skip_whitespace();
       std::string key = parse_string();
       skip_whitespace();
       expect(':');
-      members.emplace_back(std::move(key), parse_value(depth + 1));
+      JsonValue value = parse_value(depth + 1);
+      members_.emplace_back(std::move(key), std::move(value));
       skip_whitespace();
       const char c = peek();
       ++pos_;
       if (c == '}') break;
       if (c != ',') fail("expected ',' or '}' in object");
     }
-    return JsonValue::make_object(std::move(members));
+    return JsonValue::make_object(pop_frame(members_, base));
   }
 
   JsonValue parse_array(int depth) {
     expect('[');
-    JsonValue::Array elements;
     skip_whitespace();
     if (peek() == ']') {
       ++pos_;
-      return JsonValue::make_array(std::move(elements));
+      return JsonValue::make_array({});
     }
+    const std::size_t base = elements_.size();
     while (true) {
-      elements.push_back(parse_value(depth + 1));
+      elements_.push_back(parse_value(depth + 1));
       skip_whitespace();
       const char c = peek();
       ++pos_;
       if (c == ']') break;
       if (c != ',') fail("expected ',' or ']' in array");
     }
-    return JsonValue::make_array(std::move(elements));
+    return JsonValue::make_array(pop_frame(elements_, base));
   }
-
   unsigned parse_hex4() {
     if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
     unsigned code = 0;
@@ -358,15 +409,19 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run of plain bytes up to the next quote, backslash or
+      // control byte in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const auto u = static_cast<unsigned char>(text_[pos_]);
+        if (u == '"' || u == '\\' || u < 0x20) break;
+        ++pos_;
+      }
+      out.append(text_.substr(run, pos_ - run));
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') break;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("unescaped control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       if (pos_ >= text_.size()) fail("truncated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -427,11 +482,16 @@ class Parser {
         ++pos_;
       if (digits() == 0) fail("digits required in exponent");
     }
-    // The token is a valid JSON number; strtod needs NUL termination, so
-    // copy it out (numbers are short).
-    char buf[64];
     const std::size_t len = pos_ - start;
-    if (len >= sizeof buf) fail("number token too long");
+    if (len >= kMaxNumberChars) fail("number token too long");
+    // The token is a valid JSON number, which from_chars reads in place.
+    const char* first = text_.data() + start;
+    double value = 0.0;
+    if (std::from_chars(first, first + len, value).ec == std::errc())
+      return value;
+    // Out of range: strtod (which needs NUL termination, hence the copy)
+    // resolves overflow to ±inf and underflow to 0 or a subnormal.
+    char buf[kMaxNumberChars];
     text_.copy(buf, len, start);
     buf[len] = '\0';
     return std::strtod(buf, nullptr);
@@ -439,37 +499,28 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  JsonValue::Array elements_;
+  JsonValue::Object members_;
 };
 
-void append_json(std::ostringstream& os, const JsonValue& v) {
+void append_json(std::string& out, const JsonValue& v) {
   switch (v.kind()) {
-    case JsonValue::Kind::null: os << "null"; break;
-    case JsonValue::Kind::boolean: os << (v.as_bool() ? "true" : "false"); break;
-    case JsonValue::Kind::number: os << json_number(v.as_number()); break;
-    case JsonValue::Kind::string:
-      os << '"' << json_escape(v.as_string()) << '"';
-      break;
-    case JsonValue::Kind::array: {
-      os << '[';
-      const auto& a = v.as_array();
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        if (i) os << ',';
-        append_json(os, a[i]);
+    case JsonValue::Kind::null: out += "null"; break;
+    case JsonValue::Kind::boolean: append_bool(out, v.as_bool()); break;
+    case JsonValue::Kind::number: append_json_number(out, v.as_number()); break;
+    case JsonValue::Kind::string: append_quoted(out, v.as_string()); break;
+    case JsonValue::Kind::array: append_array(out, v.as_array(), append_json); break;
+    case JsonValue::Kind::object:
+      out += '{';
+      for (std::size_t i = 0; i < v.as_object().size(); ++i) {
+        const auto& [key, member] = v.as_object()[i];
+        if (i) out += ',';
+        append_quoted(out, key);
+        out += ':';
+        append_json(out, member);
       }
-      os << ']';
+      out += '}';
       break;
-    }
-    case JsonValue::Kind::object: {
-      os << '{';
-      const auto& o = v.as_object();
-      for (std::size_t i = 0; i < o.size(); ++i) {
-        if (i) os << ',';
-        os << '"' << json_escape(o[i].first) << "\":";
-        append_json(os, o[i].second);
-      }
-      os << '}';
-      break;
-    }
   }
 }
 
@@ -488,9 +539,9 @@ JsonValue parse_json(std::string_view text) {
 }
 
 std::string to_json(const JsonValue& value) {
-  std::ostringstream os;
-  append_json(os, value);
-  return std::move(os).str();
+  std::string out;
+  append_json(out, value);
+  return out;
 }
 
 core::EtcMatrix etc_from_json(const JsonValue& value) {

@@ -3,10 +3,19 @@
 //
 // The writer side dumps measure reports, scheduler summaries, and ETC
 // matrices that downstream notebooks/scripts can consume without
-// screen-scraping the console tables. The parser side is a small
-// recursive-descent reader producing a JsonValue tree; it accepts exactly
-// the JSON the writers emit (service requests round-trip through it), plus
-// standard escapes and surrogate pairs.
+// screen-scraping the console tables. Every writer appends into one
+// std::string; numbers go through append_json_number, which renders
+// std::to_chars(general, 17) — byte for byte what printf("%.17g") prints.
+//
+// The parser side is a small recursive-descent reader producing a JsonValue
+// tree; it accepts exactly the JSON the writers emit (service requests
+// round-trip through it), plus standard escapes and surrogate pairs. A
+// JsonValue is one std::variant (40 bytes); the parser gathers array
+// elements and object members on a stack it owns and moves each container
+// into storage sized exactly once. Numbers are read by std::from_chars
+// straight from the input; strtod runs only when from_chars reports the
+// value out of range, so overflow (±inf) and underflow (0 or subnormal)
+// resolve exactly as strtod resolves them.
 //
 // NaN/infinity policy: JSON has no representation for them, so the writer
 // emits null wherever a non-finite double appears; readers that expect a
@@ -19,6 +28,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/etc_matrix.hpp"
@@ -34,9 +44,14 @@ namespace hetero::io {
 /// characters).
 std::string json_escape(const std::string& s);
 
-/// Renders a double as JSON (finite -> shortest round-trip decimal;
-/// infinities/NaN -> null, since JSON has no representation for them).
+/// Renders a double as JSON: finite -> 17 significant digits, exactly
+/// printf("%.17g") (not the shortest form, but every double round-trips);
+/// infinities/NaN -> null, since JSON has no representation for them.
 std::string json_number(double value);
+
+/// Appends json_number(value) to `out` without a temporary string: the one
+/// number primitive every writer in the library goes through.
+void append_json_number(std::string& out, double value);
 
 /// {"mph": ..., "tdh": ..., "tma": ...}
 std::string to_json(const core::MeasureSet& measures);
@@ -75,13 +90,13 @@ class JsonValue {
   static JsonValue make_array(Array a);
   static JsonValue make_object(Object o);
 
-  Kind kind() const noexcept { return kind_; }
-  bool is_null() const noexcept { return kind_ == Kind::null; }
-  bool is_bool() const noexcept { return kind_ == Kind::boolean; }
-  bool is_number() const noexcept { return kind_ == Kind::number; }
-  bool is_string() const noexcept { return kind_ == Kind::string; }
-  bool is_array() const noexcept { return kind_ == Kind::array; }
-  bool is_object() const noexcept { return kind_ == Kind::object; }
+  Kind kind() const noexcept { return static_cast<Kind>(value_.index()); }
+  bool is_null() const noexcept { return kind() == Kind::null; }
+  bool is_bool() const noexcept { return kind() == Kind::boolean; }
+  bool is_number() const noexcept { return kind() == Kind::number; }
+  bool is_string() const noexcept { return kind() == Kind::string; }
+  bool is_array() const noexcept { return kind() == Kind::array; }
+  bool is_object() const noexcept { return kind() == Kind::object; }
 
   /// Typed accessors; throw ValueError on a kind mismatch.
   bool as_bool() const;
@@ -96,12 +111,9 @@ class JsonValue {
   const JsonValue& at(std::string_view key) const;
 
  private:
-  Kind kind_ = Kind::null;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  Array array_;
-  Object object_;
+  // Alternatives in Kind order: kind() is the variant index.
+  std::variant<std::monostate, bool, double, std::string, Array, Object>
+      value_;
 };
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing

@@ -1,7 +1,6 @@
 #include "svc/protocol.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "base/error.hpp"
@@ -46,23 +45,26 @@ std::string schedule_result(const Request& request) {
 
 std::string whatif_result(const Request& request) {
   const auto ecs = request.etc->to_ecs();
-  std::ostringstream os;
-  os << "{\"changes\":[";
+  std::string out = "{\"changes\":[";
   bool first = true;
   const auto append = [&](const std::vector<core::WhatIfDelta>& deltas) {
     for (const auto& d : deltas) {
-      if (!first) os << ',';
+      if (!first) out += ',';
       first = false;
-      os << "{\"description\":\"" << io::json_escape(d.description)
-         << "\",\"before\":" << io::to_json(d.before)
-         << ",\"after\":" << io::to_json(d.after) << '}';
+      out += "{\"description\":\"";
+      out += io::json_escape(d.description);
+      out += "\",\"before\":";
+      out += io::to_json(d.before);
+      out += ",\"after\":";
+      out += io::to_json(d.after);
+      out += '}';
     }
   };
   if (request.whatif_machines)
     append(core::whatif_remove_each_machine(ecs));
   if (request.whatif_tasks) append(core::whatif_remove_each_task(ecs));
-  os << "]}";
-  return std::move(os).str();
+  out += "]}";
+  return out;
 }
 
 }  // namespace
@@ -241,10 +243,14 @@ std::string ok_response(const std::string& id_json,
 
 std::string error_response(const std::string& id_json, int code,
                            const std::string& message) {
-  std::ostringstream os;
-  os << "{\"id\":" << id_json << ",\"ok\":false,\"error\":{\"code\":" << code
-     << ",\"message\":\"" << io::json_escape(message) << "\"}}";
-  return std::move(os).str();
+  std::string out = "{\"id\":";
+  out += id_json;
+  out += ",\"ok\":false,\"error\":{\"code\":";
+  out += std::to_string(code);
+  out += ",\"message\":\"";
+  out += io::json_escape(message);
+  out += "\"}}";
+  return out;
 }
 
 }  // namespace hetero::svc

@@ -1,7 +1,7 @@
 #include "svc/session.hpp"
 
 #include <cmath>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "base/error.hpp"
@@ -126,16 +126,23 @@ std::string StreamSession::result_payload(std::uint64_t fed,
                                           std::uint64_t observed,
                                           std::uint64_t cold_before) {
   const core::MeasureView::Stats& s = view_->stats();
-  std::ostringstream os;
-  os << "{\"measures\":" << io::to_json(view_->current())
-     << ",\"version\":" << s.version
-     << ",\"warm_updates\":" << s.warm_updates
-     << ",\"cold_refreshes\":" << s.cold_refreshes
-     << ",\"refreshed\":" << (s.cold_refreshes > cold_before ? "true" : "false")
-     << ",\"tasks\":" << view_->tasks()
-     << ",\"machines\":" << view_->machines()
-     << ",\"observed\":" << observed << ",\"fed\":" << fed << '}';
-  return std::move(os).str();
+  std::string out = "{\"measures\":";
+  out += io::to_json(view_->current());
+  const auto field = [&out](const char* name, std::uint64_t value) {
+    out += name;
+    out += std::to_string(value);
+  };
+  field(",\"version\":", s.version);
+  field(",\"warm_updates\":", s.warm_updates);
+  field(",\"cold_refreshes\":", s.cold_refreshes);
+  out += ",\"refreshed\":";
+  out += s.cold_refreshes > cold_before ? "true" : "false";
+  field(",\"tasks\":", view_->tasks());
+  field(",\"machines\":", view_->machines());
+  field(",\"observed\":", observed);
+  field(",\"fed\":", fed);
+  out += '}';
+  return out;
 }
 
 }  // namespace hetero::svc

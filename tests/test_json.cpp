@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "core/measures.hpp"
 #include "sched/heuristics.hpp"
@@ -211,6 +217,272 @@ TEST(JsonRoundTrip, ScheduleSummary) {
   ASSERT_EQ(back.machine_loads.size(), summary.machine_loads.size());
   for (std::size_t m = 0; m < back.machine_loads.size(); ++m)
     EXPECT_EQ(back.machine_loads[m], summary.machine_loads[m]);
+}
+
+// ---------------------------------------------------------------------------
+// Number yardsticks: the writer against printf("%.17g") and the reader
+// against strtod, the C library routines the library no longer calls on
+// its hot path.
+
+std::string printf17g(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
+}
+
+TEST(JsonNumber, MatchesPrintf17g) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.5, 1e21, 1e-5, 1e-4, 1e16, 1e17, 123456789.0,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::epsilon()};
+  for (int e = -320; e <= 308; ++e) values.push_back(std::pow(10.0, e));
+  for (int i = 0; i < 100000; ++i) values.push_back(i * 37.0 - 1e6);
+  std::mt19937_64 rng(20110516);
+  for (int i = 0; i < 1000000; ++i)
+    values.push_back(std::bit_cast<double>(rng()));
+
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string expected = std::isfinite(v) ? printf17g(v) : "null";
+    const std::string got = io::json_number(v);
+    std::string appended = "x";
+    io::append_json_number(appended, v);
+    if (got != expected || appended != "x" + expected) {
+      if (mismatches++ < 5)
+        ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v)
+                      << ": got " << got << ", printf gives " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+/// Random JSON number tokens: integers, fractions, exponents, and long
+/// (17-19 digit) mantissas.
+std::string random_number_token(std::mt19937_64& rng) {
+  const auto digit = [&] { return static_cast<char>('0' + rng() % 10); };
+  const auto digits = [&](std::size_t n) {
+    std::string d;
+    for (std::size_t i = 0; i < n; ++i) d += digit();
+    return d;
+  };
+  std::string t = rng() % 2 ? "-" : "";
+  const std::size_t int_digits =
+      rng() % 4 == 0 ? 17 + rng() % 3 : 1 + rng() % 6;
+  t += rng() % 8 == 0 ? "0" : static_cast<char>('1' + rng() % 9) +
+                                  digits(int_digits - 1);
+  if (rng() % 2) t += "." + digits(1 + rng() % 19);
+  if (rng() % 2) {
+    t += rng() % 2 ? "e" : "E";
+    const std::uint64_t sign = rng() % 3;
+    if (sign) t += sign == 1 ? "+" : "-";
+    t += std::to_string(rng() % 330);
+  }
+  return t;
+}
+
+TEST(JsonParse, NumbersMatchStrtod) {
+  std::vector<std::string> tokens = {
+      "0", "-0", "1e999", "-1e999", "1e-400", "-1e-400", "4.9e-324",
+      "2.4703282292062327e-324", "2.2250738585072011e-308",
+      "2.2250738585072014e-308", "1.7976931348623157e308",
+      "1.7976931348623158e308", "1.7976931348623159e308",
+      "0.10000000000000001", "9007199254740993", "123456789012345678901",
+      "1E+2", "1e-0"};
+  std::mt19937_64 rng(1401);
+  for (int i = 0; i < 200000; ++i) tokens.push_back(random_number_token(rng));
+
+  std::size_t mismatches = 0;
+  for (const std::string& t : tokens) {
+    const double expected = std::strtod(t.c_str(), nullptr);
+    const double got = io::parse_json(t).as_number();
+    if (std::bit_cast<std::uint64_t>(got) !=
+        std::bit_cast<std::uint64_t>(expected)) {
+      if (mismatches++ < 5)
+        ADD_FAILURE() << t << ": got " << printf17g(got) << ", strtod gives "
+                      << printf17g(expected);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  EXPECT_EQ(io::parse_json("1e999").as_number(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(io::parse_json("-1e999").as_number(),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(io::parse_json("1e-400").as_number(), 0.0);
+  EXPECT_EQ(io::parse_json("4.9e-324").as_number(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_TRUE(std::signbit(io::parse_json("-0").as_number()));
+  EXPECT_FALSE(std::signbit(io::parse_json("0").as_number()));
+}
+
+TEST(JsonParse, NumberTokenLengthLimit) {
+  const std::string ok = "1." + std::string(61, '5');  // 63 chars
+  EXPECT_EQ(io::parse_json(ok).as_number(),
+            std::strtod(ok.c_str(), nullptr));
+  const std::string too_long = ok + "5";  // 64 chars
+  try {
+    io::parse_json("[" + too_long + "]");
+    ADD_FAILURE() << "a 64-char number token was accepted";
+  } catch (const hetero::ValueError& e) {
+    EXPECT_STREQ(e.what(), "json parse error at byte 65: number token too long");
+  }
+}
+
+TEST(JsonValue, NodeIsCompact) {
+  static_assert(sizeof(io::JsonValue) <= 48);
+  EXPECT_LE(sizeof(io::JsonValue), 48u);
+}
+
+TEST(JsonValue, KindsAndAccessorErrors) {
+  const auto v = io::parse_json("[null,true,1.5,\"s\",[],{}]");
+  const auto& a = v.as_array();
+  ASSERT_EQ(a.size(), 6u);
+  using Kind = io::JsonValue::Kind;
+  EXPECT_EQ(a[0].kind(), Kind::null);
+  EXPECT_EQ(a[1].kind(), Kind::boolean);
+  EXPECT_EQ(a[2].kind(), Kind::number);
+  EXPECT_EQ(a[3].kind(), Kind::string);
+  EXPECT_EQ(a[4].kind(), Kind::array);
+  EXPECT_EQ(a[5].kind(), Kind::object);
+  const auto message = [](auto&& f) {
+    try {
+      f();
+    } catch (const hetero::ValueError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([&] { (void)a[0].as_bool(); }),
+            "json: value is not a boolean");
+  EXPECT_EQ(message([&] { (void)a[1].as_number(); }),
+            "json: value is not a number");
+  EXPECT_EQ(message([&] { (void)a[2].as_string(); }),
+            "json: value is not a string");
+  EXPECT_EQ(message([&] { (void)a[3].as_array(); }),
+            "json: value is not an array");
+  EXPECT_EQ(message([&] { (void)a[4].as_object(); }),
+            "json: value is not an object");
+  EXPECT_EQ(message([&] { (void)a[5].at("k"); }),
+            "json: missing object member \"k\"");
+  EXPECT_EQ(a[4].find("k"), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Parse stack: containers gather children on the parser's own stacks.
+
+std::string parse_error(const std::string& text) {
+  try {
+    io::parse_json(text);
+  } catch (const hetero::ValueError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(JsonParseStack, NestedAndMixedContainers) {
+  const std::string doc = "[[],[1,[2,[]]],{\"a\":[3,{\"b\":[]}]}]";
+  const auto v = io::parse_json(doc);
+  const auto& top = v.as_array();
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_TRUE(top[0].as_array().empty());
+  const auto& second = top[1].as_array();
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(second[0].as_number(), 1.0);
+  EXPECT_EQ(second[1].as_array()[0].as_number(), 2.0);
+  EXPECT_TRUE(second[1].as_array()[1].as_array().empty());
+  const auto& a = top[2].at("a").as_array();
+  ASSERT_EQ(a.size(), 2u);
+  EXPECT_EQ(a[0].as_number(), 3.0);
+  EXPECT_TRUE(a[1].at("b").as_array().empty());
+  EXPECT_EQ(io::to_json(v), doc);
+}
+
+TEST(JsonParseStack, LargeArray) {
+  std::string doc = "[";
+  for (int i = 0; i < 10000; ++i) doc += (i ? "," : "") + std::to_string(i);
+  doc += "]";
+  const auto v = io::parse_json(doc);
+  const auto& a = v.as_array();
+  ASSERT_EQ(a.size(), 10000u);
+  for (int i = 0; i < 10000; ++i) ASSERT_EQ(a[i].as_number(), i);
+  EXPECT_EQ(io::to_json(v), doc);
+}
+
+TEST(JsonParseStack, DepthLimitIsExact) {
+  // The outermost container is depth 0; depth 128 still parses.
+  const auto nested = [](std::size_t n) {
+    return std::string(n, '[') + std::string(n, ']');
+  };
+  EXPECT_NO_THROW(io::parse_json(nested(129)));
+  EXPECT_EQ(parse_error(nested(130)),
+            "json parse error at byte 129: nesting too deep");
+  std::string objects;
+  for (int i = 0; i < 130; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(130, '}');
+  EXPECT_EQ(parse_error(objects),
+            "json parse error at byte 645: nesting too deep");
+}
+
+TEST(JsonParseStack, NestedErrorsKeepMessageAndOffset) {
+  EXPECT_EQ(parse_error("[[1,2],[3,"),
+            "json parse error at byte 10: unexpected end of input");
+  EXPECT_EQ(parse_error("[[1,2],[3 4]]"),
+            "json parse error at byte 11: expected ',' or ']' in array");
+  EXPECT_EQ(parse_error("{\"a\":[1,{\"b\":tru}]}"),
+            "json parse error at byte 13: invalid literal");
+  EXPECT_EQ(parse_error("{\"a\":[1,{\"b\":2]}"),
+            "json parse error at byte 15: expected ',' or '}' in object");
+  EXPECT_EQ(parse_error("[{\"a\":[\"x\ny\"]}]"),
+            "json parse error at byte 10: unescaped control character in "
+            "string");
+  EXPECT_EQ(parse_error("[[1],[01]]"),
+            "json parse error at byte 8: leading zeros are not allowed");
+}
+
+/// A seeded random JSON tree: every kind, escapes and control bytes in
+/// strings, and doubles drawn from raw bit patterns.
+io::JsonValue random_tree(std::mt19937_64& rng, int depth) {
+  const auto random_string = [&] {
+    std::string s;
+    const std::size_t n = rng() % 12;
+    for (std::size_t i = 0; i < n; ++i)
+      s += static_cast<char>(rng() % 4 == 0 ? rng() % 0x20
+                                            : 0x20 + rng() % 0x60);
+    return s;
+  };
+  switch (depth >= 6 ? rng() % 4 : rng() % 6) {
+    case 0: return io::JsonValue::make_null();
+    case 1: return io::JsonValue::make_bool(rng() % 2 == 0);
+    case 2:
+      return io::JsonValue::make_number(
+          rng() % 2 ? static_cast<double>(static_cast<int>(rng() % 2001) - 1000)
+                    : std::bit_cast<double>(rng()));
+    case 3: return io::JsonValue::make_string(random_string());
+    case 4: {
+      io::JsonValue::Array a;
+      for (std::size_t n = rng() % 6; n > 0; --n)
+        a.push_back(random_tree(rng, depth + 1));
+      return io::JsonValue::make_array(std::move(a));
+    }
+    default: {
+      io::JsonValue::Object o;
+      for (std::size_t n = rng() % 6; n > 0; --n)
+        o.emplace_back(random_string(), random_tree(rng, depth + 1));
+      return io::JsonValue::make_object(std::move(o));
+    }
+  }
+}
+
+TEST(JsonParseStack, WriteParseWriteIsAFixpoint) {
+  std::mt19937_64 rng(1402);
+  for (int i = 0; i < 2000; ++i) {
+    const std::string once = io::to_json(random_tree(rng, 0));
+    const std::string twice = io::to_json(io::parse_json(once));
+    ASSERT_EQ(twice, once) << "tree " << i;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -24,6 +26,7 @@
 #include "svc/request_queue.hpp"
 #include "svc/result_cache.hpp"
 #include "svc/server.hpp"
+#include "svc/session.hpp"
 
 namespace {
 
@@ -631,6 +634,257 @@ TEST(SvcServer, DestructorDrainsAdmittedWork) {
       server.submit(line, [&](std::string) { answered.fetch_add(1); });
   }
   EXPECT_EQ(answered.load(), 16);
+}
+
+// ---------------------------------------------------------------------------
+// Recorded response bytes. Every line of a seeded corpus is answered by
+// Server::handle and reduced to (length, FNV-1a 64) of the response; the
+// table was recorded once and pins the protocol bytes — numbers, escapes,
+// error messages and byte offsets — so a rewrite of the JSON reader/writer
+// or of a payload builder cannot change what a client receives.
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// A labelled ETC matrix with a few "cannot run" (null) entries.
+EtcMatrix golden_matrix(std::size_t tasks, std::size_t machines,
+                        std::uint64_t seed) {
+  const EtcMatrix base = test_matrix(tasks, machines, seed);
+  Matrix values = base.values();
+  values(1, machines - 1) = std::numeric_limits<double>::infinity();
+  values(tasks / 2, 0) = std::numeric_limits<double>::infinity();
+  values(tasks - 1, machines / 2) = std::numeric_limits<double>::infinity();
+  std::vector<std::string> task_names, machine_names;
+  for (std::size_t i = 0; i < tasks; ++i)
+    task_names.push_back(i % 7 == 3 ? "task \"" + std::to_string(i) + "\"\t"
+                                    : "t" + std::to_string(i));
+  for (std::size_t j = 0; j < machines; ++j)
+    machine_names.push_back(j == 1 ? "m\\\xC3\xA9" : "m" + std::to_string(j));
+  return EtcMatrix(std::move(values), std::move(task_names),
+                   std::move(machine_names));
+}
+
+/// Stateless request lines: every computable kind plus malformed lines.
+std::vector<std::string> golden_requests() {
+  const EtcMatrix a = golden_matrix(64, 8, 1401);
+  const EtcMatrix b = golden_matrix(128, 16, 1402);
+  const EtcMatrix small = test_matrix(12, 4, 1403);
+  const std::string too_long = "1." + std::string(62, '5');
+  return {
+      request_line(a, "characterize", ",\"id\":1"),
+      request_line(b, "characterize", ",\"id\":\"b-\\\"2\\\"\\u00e9\""),
+      request_line(a, "characterize", ",\"id\":3.5"),
+      request_line(a, "measures", ",\"id\":null"),
+      request_line(b, "measures", ",\"id\":{\"n\":[1e999,-0,1e-400]}"),
+      request_line(a, "schedule",
+                   ",\"id\":6,\"heuristic\":\"min_min\","
+                   "\"tasks\":[0,1,2,5,5,63]"),
+      request_line(b, "schedule", ",\"id\":7,\"heuristic\":\"min_min\""),
+      request_line(small, "schedule",
+                   ",\"id\":8,\"heuristic\":\"ga\",\"seed\":42"),
+      request_line(a, "whatif", ",\"id\":9,\"remove\":\"machines\""),
+      request_line(small, "whatif", ",\"id\":10,\"remove\":\"tasks\""),
+      request_line(small, "whatif", ",\"id\":11"),
+      request_line(small, "measures",
+                   ",\"id\":[4.9e-324,2.2250738585072011e-308,"
+                   "0.10000000000000001,123456789012345678901]"),
+      request_line(small, "subscribe", ",\"id\":12"),
+      "",
+      "{",
+      "[1,2]",
+      "{\"id\":13,\"kind\":\"nope\"}",
+      "{\"id\":14,\"kind\":\"characterize\"}",
+      "{\"id\":15,\"kind\":\"measures\",\"etc\":[[1,2],[3]]}",
+      "{\"id\":01,\"kind\":\"measures\",\"etc\":[[1]]}",
+      "{\"id\":" + too_long + ",\"kind\":\"measures\",\"etc\":[[1]]}",
+      "{\"id\":16,\"kind\":\"measures\",\"etc\":[[1,2],[3," +
+          std::string(150, '[') + "]]}",
+      "{\"id\":17,\"kind\":\"measures\",\"etc\":[[1,2],[3,",
+      "{\"id\":18,\"kind\":\"schedule\",\"heuristic\":\"nope\","
+      "\"etc\":[[1,2]]}",
+      "{\"id\":19,\"kind\":\"whatif\",\"remove\":\"all\",\"etc\":[[1,2]]}",
+      "{\"id\":20,\"kind\":\"measures\",\"deadline_ms\":-1,\"etc\":[[1]]}",
+      "{\"id\":\"\\ud800\",\"kind\":\"measures\"}",
+      "{\"id\":21,\"kind\":\"measures\",\"etc\":[[1.]]}",
+      "{\"id\":22,\"kind\":\"measures\",\"etc\":[[-]]}",
+      "{\"id\":23,\"kind\":\"measures\",\"etc\":[[0,1e5]]} x",
+  };
+}
+
+/// A subscribe followed by 30 seeded updates (set, observe, and structural
+/// churn), bracketed by session-protocol errors.
+std::vector<std::string> golden_session() {
+  std::vector<std::string> lines;
+  lines.push_back("{\"id\":0,\"kind\":\"update\",\"set\":[]}");
+  lines.push_back("{\"id\":1,\"kind\":\"subscribe\",\"etc\":" +
+                  io::to_json(test_matrix(16, 6, 1404)) + "}");
+  std::size_t tasks = 16, machines = 6;
+  std::uint64_t s = 1405;
+  const auto next = [&s](std::uint64_t n) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    return (s >> 33) % n;
+  };
+  const auto value = [&] {
+    return std::to_string(next(4000) + 1) + "." + std::to_string(next(100));
+  };
+  for (int k = 0; k < 30; ++k) {
+    std::string body;
+    switch (k % 6) {
+      case 0:
+      case 3:
+        body = "\"set\":[";
+        for (int c = 0; c < 3; ++c)
+          body += std::string(c ? "," : "") + "{\"task\":" +
+                  std::to_string(next(tasks)) + ",\"machine\":" +
+                  std::to_string(next(machines)) + ",\"etc\":" + value() + "}";
+        body += "]";
+        break;
+      case 1:
+      case 4:
+        body = "\"observe\":[";
+        for (int c = 0; c < 4; ++c)
+          body += std::string(c ? "," : "") + "{\"task\":" +
+                  std::to_string(next(tasks)) + ",\"machine\":" +
+                  std::to_string(next(machines)) +
+                  ",\"runtime\":" + value() + "}";
+        body += "]";
+        break;
+      case 2: {
+        body = "\"add_tasks\":[[";
+        for (std::size_t j = 0; j < machines; ++j)
+          body += std::string(j ? "," : "") + value();
+        body += "]]";
+        ++tasks;
+        break;
+      }
+      case 5:
+        if (k % 12 == 5) {
+          body = "\"remove_tasks\":[" + std::to_string(next(tasks)) + "]";
+          --tasks;
+        } else {
+          body = "\"add_machines\":[[";
+          for (std::size_t i = 0; i < tasks; ++i)
+            body += std::string(i ? "," : "") + value();
+          body += "]]";
+          ++machines;
+        }
+        break;
+    }
+    lines.push_back("{\"id\":" + std::to_string(k + 2) +
+                    ",\"kind\":\"update\"," + body + "}");
+  }
+  lines.push_back("{\"id\":32,\"kind\":\"update\",\"set\":[{\"task\":999,"
+                  "\"machine\":0,\"etc\":1}]}");
+  lines.push_back("{\"id\":33,\"kind\":\"update\",\"set\":[{\"task\":0,"
+                  "\"machine\":0,\"etc\":-1}]}");
+  return lines;
+}
+
+struct GoldenBytes {
+  std::size_t length;
+  std::uint64_t fnv;
+};
+
+void expect_golden(const std::vector<std::string>& responses,
+                   const std::vector<GoldenBytes>& golden) {
+  ASSERT_EQ(responses.size(), golden.size());
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].size(), golden[i].length)
+        << "line " << i << ": " << responses[i].substr(0, 200);
+    EXPECT_EQ(fnv1a64(responses[i]), golden[i].fnv)
+        << "line " << i << ": " << responses[i].substr(0, 200);
+  }
+}
+
+TEST(SvcGolden, RequestResponsesMatchRecordedBytes) {
+  svc::Server server;
+  std::vector<std::string> responses;
+  for (const std::string& line : golden_requests())
+    responses.push_back(server.handle(line));
+  const std::vector<GoldenBytes> golden = {
+      {2611, 0xdfb4cdd0d0b0c2d9ull},
+      {4747, 0xdf9b442a405822beull},
+      {2613, 0x628820ffcaed8506ull},
+      {109, 0xcb9ef80267cc7d4cull},
+      {123, 0x28826df4d4ea2b38ull},
+      {244, 0x3d564c9db2ec648bull},
+      {719, 0x1fdb7e4d4ae59f97ull},
+      {209, 0xd0bf3db94397893full},
+      {1737, 0x215821443cb5bd26ull},
+      {2563, 0x04337059ebf6d410ull},
+      {3414, 0x1768f53923e722adull},
+      {198, 0xce55ebf94d4971a6ull},
+      {105, 0x6483bb6d52e3dd38ull},
+      {107, 0xf5f84712a1f9a3afull},
+      {107, 0x9ccd25ed87af6af4ull},
+      {85, 0x385a6798d3c2df81ull},
+      {85, 0xa684d35d24cf91cdull},
+      {87, 0x6014d7311e15de20ull},
+      {77, 0x90472f10930fee11ull},
+      {113, 0x35a74e39d16cc690ull},
+      {106, 0x311bf685c301140dull},
+      {102, 0x965ba8b86ecbb87aull},
+      {108, 0x25d83777cce3a05eull},
+      {92, 0x2a31125209519075ull},
+      {102, 0xd146e4cbd73bb5a8ull},
+      {96, 0x7c6ae180d662fdd1ull},
+      {104, 0x5510cfcc70357188ull},
+      {120, 0x0521b74632a42afcull},
+      {99, 0x1786155ecac428f1ull},
+      {121, 0x499e28c818cb9379ull},
+  };
+  expect_golden(responses, golden);
+}
+
+TEST(SvcGolden, SessionResponsesMatchRecordedBytes) {
+  svc::Server server;
+  svc::StreamSession session;
+  std::vector<std::string> responses;
+  for (const std::string& line : golden_session())
+    responses.push_back(server.handle(line, &session));
+  const std::vector<GoldenBytes> golden = {
+      {134, 0x53c34a1da0d117a0ull},
+      {231, 0x0bb1c98751a41c41ull},
+      {231, 0x2a77e33a639ae8d3ull},
+      {230, 0x68716dbf836ca35aull},
+      {230, 0x296135152d4faf1full},
+      {230, 0xda71fab7dd96cf3aull},
+      {231, 0x8154bb2e467815c3ull},
+      {231, 0x77a2d863b4eff0e5ull},
+      {231, 0xbbd28a3d57be9a2aull},
+      {231, 0xd7d8e308de9be4f3ull},
+      {232, 0x1d5abb98a5365528ull},
+      {234, 0x67a44b18d77622eeull},
+      {234, 0x503135df8dbc790bull},
+      {234, 0x19d82a61592f7449ull},
+      {234, 0xb39b7039c7b90f7bull},
+      {233, 0x519f6670866af78full},
+      {234, 0x80bbd043cdc2de42ull},
+      {234, 0x0c9e1848b2c7b4c4ull},
+      {232, 0x15278e5cf145320cull},
+      {233, 0x1f0d540b04fb26a8ull},
+      {234, 0x9bbc6351fe2e50fbull},
+      {234, 0x83354b98cf27ccd5ull},
+      {234, 0xeedbf90d42e66455ull},
+      {234, 0x77105e4fc5c83199ull},
+      {234, 0x10d3f15b2221e40eull},
+      {233, 0xa85987d0d6e8446bull},
+      {234, 0x14ef6ab2702657a6ull},
+      {234, 0x3b2851720f67312cull},
+      {232, 0xcd6dd594c7feaa03ull},
+      {234, 0xda105600224c84edull},
+      {234, 0xef8ec000548da22aull},
+      {234, 0x843af60a0a40bd80ull},
+      {103, 0xc0cd674a0d206874ull},
+      {112, 0xefb4a72c02a1b219ull},
+  };
+  expect_golden(responses, golden);
 }
 
 }  // namespace
