@@ -35,11 +35,15 @@ int main() {
   hetero::io::Table t({"matrix", "entries", "MPH", "TDH", "TMA", "corner"});
   for (const auto& c : cases) {
     const auto m = hetero::core::measure_set(EcsMatrix(c.ecs));
-    const std::string entries =
-        "[" + hetero::io::format_general(c.ecs(0, 0)) + " " +
-        hetero::io::format_general(c.ecs(0, 1)) + "; " +
-        hetero::io::format_general(c.ecs(1, 0)) + " " +
-        hetero::io::format_general(c.ecs(1, 1)) + "]";
+    std::string entries = "[";
+    entries.append(hetero::io::format_general(c.ecs(0, 0)))
+        .append(" ")
+        .append(hetero::io::format_general(c.ecs(0, 1)))
+        .append("; ")
+        .append(hetero::io::format_general(c.ecs(1, 0)))
+        .append(" ")
+        .append(hetero::io::format_general(c.ecs(1, 1)))
+        .append("]");
     t.add_row({c.name, entries, format_fixed(m.mph, 2), format_fixed(m.tdh, 2),
                format_fixed(m.tma, 2), c.corner});
   }

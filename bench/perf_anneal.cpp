@@ -1,15 +1,18 @@
 // Benchmarks of the measure-targeted annealing generator's inner loop: the
-// fused incremental proposal chain (IncrementalMeasures: maintained sums,
-// insertion-resorted homogeneities, warm-started Sinkhorn, incremental
-// Jacobi) against the pre-optimization chain (full matrix copy + cold
+// fused incremental proposal chain (core::MeasureView proposals: maintained
+// sums, insertion-resorted homogeneities, warm-started Sinkhorn, warm Gram
+// eigensolve) against the pre-optimization chain (full matrix copy + cold
 // standardize_reference + singular_values_reference + fresh sorts per
 // proposal), plus the end-to-end generator.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
+#include "core/measure_view.hpp"
 #include "core/measures.hpp"
 #include "core/standard_form.hpp"
 #include "etcgen/rng.hpp"
@@ -76,27 +79,31 @@ void BM_AnnealChainReference(benchmark::State& state) {
 BENCHMARK(BM_AnnealChainReference)->Args({8, 5})->Args({16, 8})->Args({32, 16});
 
 void BM_AnnealChainIncremental(benchmark::State& state) {
-  // The same chain through IncrementalMeasures, configured exactly as the
+  // The same chain through MeasureView proposals, configured exactly as the
   // generator configures it at the measure-sweep app's tolerance (0.02).
   const auto t = static_cast<std::size_t>(state.range(0));
   const auto m = static_cast<std::size_t>(state.range(1));
   const Matrix seed = random_positive(t, m, 99);
-  const auto search = eg::search_sinkhorn_options(0.02);
+  hetero::core::MeasureViewOptions options;
+  options.sinkhorn = eg::search_sinkhorn_options(0.02);
+  options.error_budget = std::numeric_limits<double>::infinity();
   for (auto _ : state) {
     auto rng = eg::make_rng(7);
-    eg::IncrementalMeasures inc(seed, search);
+    hetero::core::MeasureView view(seed, options);
     for (int p = 0; p < kProposalsPerIteration; ++p) {
       const std::size_t k = eg::uniform_index(rng, seed.data().size());
-      const double value =
-          inc.matrix().data()[k] * std::exp(eg::normal(rng, 0.0, 0.1));
-      const auto& measures = inc.propose(k, value);
+      const hetero::core::CellDelta cell{
+          k / m, k % m,
+          view.ecs().data()[k] * std::exp(eg::normal(rng, 0.0, 0.1))};
+      const auto& measures =
+          view.propose(std::span<const hetero::core::CellDelta>(&cell, 1));
       benchmark::DoNotOptimize(measures.tma);
       if (p % 2 == 0)
-        inc.accept();
+        view.accept();
       else
-        inc.reject();
+        view.reject();
     }
-    benchmark::DoNotOptimize(inc.current().tma);
+    benchmark::DoNotOptimize(view.current().tma);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kProposalsPerIteration);

@@ -62,9 +62,12 @@ int main() {
   const auto conf = core::measure_confidence(etc);
   hetero::io::Table t({"measure", "point", "95% interval"});
   const auto row = [&](const char* name, const core::MeasureInterval& i) {
-    t.add_row({name, format_fixed(i.point, 3),
-               "[" + format_fixed(i.lower, 3) + ", " +
-                   format_fixed(i.upper, 3) + "]"});
+    std::string interval = "[";
+    interval.append(format_fixed(i.lower, 3))
+        .append(", ")
+        .append(format_fixed(i.upper, 3))
+        .append("]");
+    t.add_row({name, format_fixed(i.point, 3), std::move(interval)});
   };
   row("MPH", conf.mph);
   row("TDH", conf.tdh);

@@ -19,11 +19,15 @@
 //
 // CSV format: optional header "task,m1,m2,...", one row per task type with
 // an optional leading name; "inf" marks machines that cannot run a task.
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <vector>
 
+#include "base/error.hpp"
 #include "core/clustering.hpp"
 #include "core/confidence.hpp"
 #include "core/extracts.hpp"
@@ -51,6 +55,31 @@ int usage() {
          "       hetero_cli generate <mph> <tdh> <tma> <tasks> <machines>\n"
          "       hetero_cli demo\n";
   return 2;
+}
+
+// Parses a whole argument as a finite number; anything else (trailing text,
+// overflow, nan/inf) is a ValueError naming the argument.
+double parse_number(const std::string& token, const char* what) {
+  double v = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v))
+    throw hetero::ValueError(std::string(what) + " must be a number, got \"" +
+                             token + "\"");
+  return v;
+}
+
+// Parses a whole argument as a positive count ("-1" and "0" are rejected,
+// not wrapped or accepted).
+std::size_t parse_count(const std::string& token, const char* what) {
+  std::size_t v = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (ec != std::errc() || ptr != end || v == 0)
+    throw hetero::ValueError(std::string(what) +
+                             " must be a positive integer, got \"" + token +
+                             "\"");
+  return v;
 }
 
 void atlas(const hetero::core::EtcMatrix& etc) {
@@ -102,9 +131,13 @@ void confidence(const hetero::core::EtcMatrix& etc) {
   hetero::io::Table t({"measure", "point", "mean", "95% interval"});
   const auto row = [&](const char* label,
                        const hetero::core::MeasureInterval& i) {
+    std::string interval = "[";
+    interval.append(format_fixed(i.lower, 3))
+        .append(", ")
+        .append(format_fixed(i.upper, 3))
+        .append("]");
     t.add_row({label, format_fixed(i.point, 3), format_fixed(i.mean, 3),
-               "[" + format_fixed(i.lower, 3) + ", " +
-                   format_fixed(i.upper, 3) + "]"});
+               std::move(interval)});
   };
   row("MPH", c.mph);
   row("TDH", c.tdh);
@@ -115,12 +148,12 @@ void confidence(const hetero::core::EtcMatrix& etc) {
 int generate(const std::vector<std::string>& args) {
   if (args.size() < 7) return usage();
   hetero::etcgen::TargetMeasures target;
-  target.mph = std::stod(args[2]);
-  target.tdh = std::stod(args[3]);
-  target.tma = std::stod(args[4]);
+  target.mph = parse_number(args[2], "generate: <mph>");
+  target.tdh = parse_number(args[3], "generate: <tdh>");
+  target.tma = parse_number(args[4], "generate: <tma>");
   hetero::etcgen::TargetGenOptions opts;
-  opts.tasks = std::stoul(args[5]);
-  opts.machines = std::stoul(args[6]);
+  opts.tasks = parse_count(args[5], "generate: <tasks>");
+  opts.machines = parse_count(args[6], "generate: <machines>");
   opts.scale = 0.01;  // ECS scale -> runtimes in the hundreds
   const auto result = hetero::etcgen::generate_with_measures(target, opts);
   hetero::io::write_etc_csv(std::cout, result.ecs.to_etc());
@@ -235,7 +268,7 @@ int run_command(const std::vector<std::string>& args) {
     atlas(etc);
   } else if (command == "cluster") {
     if (args.size() < 4) return usage();
-    cluster(etc, std::stoul(args[3]));
+    cluster(etc, parse_count(args[3], "cluster: <k>"));
   } else if (command == "confidence") {
     confidence(etc);
   } else {

@@ -33,8 +33,11 @@ std::size_t find_label(const std::vector<std::string>& labels,
 std::vector<std::string> default_labels(std::size_t count, char prefix) {
   std::vector<std::string> labels;
   labels.reserve(count);
-  for (std::size_t i = 1; i <= count; ++i)
-    labels.push_back(std::string(1, prefix) + std::to_string(i));
+  for (std::size_t i = 1; i <= count; ++i) {
+    std::string label(1, prefix);
+    label.append(std::to_string(i));
+    labels.push_back(std::move(label));
+  }
   return labels;
 }
 

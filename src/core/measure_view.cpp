@@ -13,7 +13,7 @@ using linalg::Matrix;
 
 // Replaces one occurrence of `old_value` in the sorted vector `v` with
 // `new_value`, keeping it sorted: one erase and one shifted insert, O(n)
-// moves and no per-update sort (same scheme as etcgen::IncrementalMeasures).
+// moves and no per-update sort.
 void replace_sorted(std::vector<double>& v, double old_value,
                     double new_value) {
   v.erase(std::lower_bound(v.begin(), v.end(), old_value));
@@ -36,9 +36,8 @@ MeasureView::MeasureView(Matrix ecs, MeasureViewOptions options)
       !matrix_.empty() && matrix_.all_positive() && !matrix_.has_nonfinite(),
       "MeasureView: ECS matrix must be non-empty, strictly positive, and "
       "finite");
-  sinkhorn_.warm_row_scale.clear();
-  sinkhorn_.warm_col_scale.clear();
-  rebuild_from_matrix();
+  reset_sums();
+  commit(evaluate(/*cold=*/true), /*cold=*/true);
 }
 
 double MeasureView::drift_charge() const noexcept {
@@ -55,29 +54,47 @@ bool MeasureView::next_update_cold() const noexcept {
   return stats_.accumulated_drift + drift_charge() > options_.error_budget;
 }
 
-MeasureSet MeasureView::evaluate() {
+void MeasureView::require_no_proposal() const {
+  hetero::detail::require_value(!proposal_open_,
+                                "MeasureView: a proposal is open; accept() "
+                                "or reject() it first");
+}
+
+MeasureSet MeasureView::evaluate(bool cold) {
   MeasureSet s;
   s.mph = adjacent_ratio_homogeneity_sorted(sorted_col_sums_);
   s.tdh = adjacent_ratio_homogeneity_sorted(sorted_row_sums_);
-  if (std::min(matrix_.rows(), matrix_.cols()) == 1) {
+  // A committed basis of another size (the min dimension changed) carries
+  // no information; start that solve at the identity as a cold one does.
+  const std::size_t mn = std::min(matrix_.rows(), matrix_.cols());
+  if (cold || eigbasis_.rows() != mn)
+    pending_eigbasis_ = Matrix::identity(mn);
+  else
+    pending_eigbasis_ = eigbasis_;
+  if (mn == 1) {
     s.tma = 0.0;
     pending_row_scale_.clear();
     pending_col_scale_.clear();
-    pending_eigbasis_ = eigbasis_;
     return s;
   }
-  // Identical numerics to etcgen::IncrementalMeasures::evaluate(): warm
-  // Sinkhorn from the committed scalings (empty right after a cold refresh,
-  // making that evaluation exactly the cold pipeline), TMA via the
-  // allocation-free Gram path, and a congruence-warm Jacobi eigensolve in
-  // the committed eigenbasis.
-  sinkhorn_.warm_row_scale = warm_row_scale_;
-  sinkhorn_.warm_col_scale = warm_col_scale_;
+  // TMA via the allocation-free Gram path: a Sinkhorn standardization
+  // (warm: seeded with the committed scalings, so a small perturbation
+  // restarts near the fixed point), then a Jacobi eigensolve of the Gram
+  // matrix by congruence into the basis above. The congruence is an exact
+  // similarity, so a warm basis only saves sweeps; 1e-8 on the
+  // off-diagonals bounds the eigenvalue error by ~1e-8.
+  if (cold) {
+    sinkhorn_.warm_row_scale.clear();
+    sinkhorn_.warm_col_scale.clear();
+  } else {
+    sinkhorn_.warm_row_scale = warm_row_scale_;
+    sinkhorn_.warm_col_scale = warm_col_scale_;
+  }
   standardize_positive_into(matrix_, sinkhorn_, sf_);
+  if (gram_.rows() != mn) gram_ = Matrix(mn, mn, 0.0);
   linalg::min_gram_into(sf_.standard, gram_);
   linalg::JacobiEigenOptions eig_opt;
   eig_opt.tol = 1e-8;
-  pending_eigbasis_ = eigbasis_;
   linalg::symmetric_eigenvalues_warm(gram_, pending_eigbasis_, eig_, eig_ws_,
                                      eig_opt);
   double acc = 0.0;
@@ -89,32 +106,77 @@ MeasureSet MeasureView::evaluate() {
   return s;
 }
 
-void MeasureView::commit_pending() {
-  warm_row_scale_ = std::move(pending_row_scale_);
-  warm_col_scale_ = std::move(pending_col_scale_);
+void MeasureView::commit(const MeasureSet& s, bool cold) {
+  current_ = s;
+  warm_row_scale_.swap(pending_row_scale_);
+  warm_col_scale_.swap(pending_col_scale_);
   std::swap(eigbasis_, pending_eigbasis_);
+  if (cold) {
+    stats_.accumulated_drift = 0.0;
+    updates_since_refresh_ = 0;
+  }
 }
 
-void MeasureView::resize_spectral() {
-  const std::size_t mn = std::min(matrix_.rows(), matrix_.cols());
-  gram_ = Matrix(mn, mn, 0.0);
-  eigbasis_ = Matrix::identity(mn);
-}
-
-void MeasureView::rebuild_from_matrix() {
+void MeasureView::reset_sums() {
   row_sums_ = matrix_.row_sums();
   col_sums_ = matrix_.col_sums();
   sorted_row_sums_ = row_sums_;
   sorted_col_sums_ = col_sums_;
   std::sort(sorted_row_sums_.begin(), sorted_row_sums_.end());
   std::sort(sorted_col_sums_.begin(), sorted_col_sums_.end());
-  warm_row_scale_.clear();
-  warm_col_scale_.clear();
-  resize_spectral();
-  current_ = evaluate();
-  commit_pending();
-  stats_.accumulated_drift = 0.0;
-  updates_since_refresh_ = 0;
+}
+
+MeasureSet MeasureView::stage(std::span<const CellDelta> deltas, bool cold) {
+  saved_row_sums_ = row_sums_;
+  saved_col_sums_ = col_sums_;
+  saved_sorted_row_sums_ = sorted_row_sums_;
+  saved_sorted_col_sums_ = sorted_col_sums_;
+  saved_cells_.clear();
+  // Per-delta sorted maintenance is O(n) memmove per cell; past a small
+  // batch it is cheaper to re-sort the final sums once. Both produce the
+  // ascending ordering of the same incrementally-updated sums, so the
+  // published measures are bit-identical either way. A cold evaluation
+  // recomputes the sums from the matrix instead.
+  const bool resort = deltas.size() > 16;
+  for (const CellDelta& d : deltas) {
+    const double old = matrix_(d.task, d.machine);
+    saved_cells_.push_back(CellDelta{d.task, d.machine, old});
+    matrix_(d.task, d.machine) = d.value;
+    if (cold) continue;
+    const double delta = d.value - old;
+    const double old_rs = row_sums_[d.task];
+    const double new_rs = old_rs + delta;
+    row_sums_[d.task] = new_rs;
+    if (!resort) replace_sorted(sorted_row_sums_, old_rs, new_rs);
+    const double old_cs = col_sums_[d.machine];
+    const double new_cs = old_cs + delta;
+    col_sums_[d.machine] = new_cs;
+    if (!resort) replace_sorted(sorted_col_sums_, old_cs, new_cs);
+  }
+  if (cold) {
+    reset_sums();
+  } else if (resort) {
+    sorted_row_sums_.assign(row_sums_.begin(), row_sums_.end());
+    std::sort(sorted_row_sums_.begin(), sorted_row_sums_.end());
+    sorted_col_sums_.assign(col_sums_.begin(), col_sums_.end());
+    std::sort(sorted_col_sums_.begin(), sorted_col_sums_.end());
+  }
+  try {
+    return evaluate(cold);
+  } catch (...) {
+    unstage();
+    throw;
+  }
+}
+
+void MeasureView::unstage() {
+  for (std::size_t i = saved_cells_.size(); i-- > 0;)
+    matrix_(saved_cells_[i].task, saved_cells_[i].machine) =
+        saved_cells_[i].value;
+  row_sums_.swap(saved_row_sums_);
+  col_sums_.swap(saved_col_sums_);
+  sorted_row_sums_.swap(saved_sorted_row_sums_);
+  sorted_col_sums_.swap(saved_sorted_col_sums_);
 }
 
 const MeasureSet& MeasureView::finish_update(bool cold) {
@@ -138,6 +200,16 @@ const MeasureSet& MeasureView::set_entry(std::size_t task, std::size_t machine,
 }
 
 const MeasureSet& MeasureView::set_entries(std::span<const CellDelta> deltas) {
+  require_no_proposal();
+  if (deltas.empty()) return current_;
+  propose(deltas);
+  return accept();
+}
+
+const MeasureSet& MeasureView::propose(std::span<const CellDelta> deltas) {
+  require_no_proposal();
+  hetero::detail::require_value(!deltas.empty(),
+                                "MeasureView::propose: no cells to change");
   for (const CellDelta& d : deltas) {
     hetero::detail::require_dims(
         d.task < matrix_.rows() && d.machine < matrix_.cols(),
@@ -146,56 +218,26 @@ const MeasureSet& MeasureView::set_entries(std::span<const CellDelta> deltas) {
         d.value > 0.0 && std::isfinite(d.value),
         "MeasureView::set_entries: value must be positive and finite");
   }
-  if (deltas.empty()) return current_;
   const bool cold = next_update_cold();
-  saved_row_sums_ = row_sums_;
-  saved_col_sums_ = col_sums_;
-  saved_sorted_row_sums_ = sorted_row_sums_;
-  saved_sorted_col_sums_ = sorted_col_sums_;
-  // Per-delta sorted maintenance is O(n) memmove per cell; past a small
-  // batch it is cheaper to re-sort the final sums once. Both produce the
-  // ascending ordering of the same incrementally-updated sums, so the
-  // published measures are bit-identical either way.
-  const bool resort = deltas.size() > 16;
-  saved_cell_values_.clear();
-  for (const CellDelta& d : deltas) {
-    const double old = matrix_(d.task, d.machine);
-    saved_cell_values_.push_back(old);
-    matrix_(d.task, d.machine) = d.value;
-    const double delta = d.value - old;
-    const double old_rs = row_sums_[d.task];
-    const double new_rs = old_rs + delta;
-    row_sums_[d.task] = new_rs;
-    if (!resort) replace_sorted(sorted_row_sums_, old_rs, new_rs);
-    const double old_cs = col_sums_[d.machine];
-    const double new_cs = old_cs + delta;
-    col_sums_[d.machine] = new_cs;
-    if (!resort) replace_sorted(sorted_col_sums_, old_cs, new_cs);
-  }
-  if (resort) {
-    sorted_row_sums_.assign(row_sums_.begin(), row_sums_.end());
-    std::sort(sorted_row_sums_.begin(), sorted_row_sums_.end());
-    sorted_col_sums_.assign(col_sums_.begin(), col_sums_.end());
-    std::sort(sorted_col_sums_.begin(), sorted_col_sums_.end());
-  }
-  try {
-    if (cold) {
-      rebuild_from_matrix();
-    } else {
-      MeasureSet s = evaluate();
-      current_ = s;
-      commit_pending();
-    }
-  } catch (...) {
-    for (std::size_t i = deltas.size(); i-- > 0;)
-      matrix_(deltas[i].task, deltas[i].machine) = saved_cell_values_[i];
-    row_sums_.swap(saved_row_sums_);
-    col_sums_.swap(saved_col_sums_);
-    sorted_row_sums_.swap(saved_sorted_row_sums_);
-    sorted_col_sums_.swap(saved_sorted_col_sums_);
-    throw;
-  }
-  return finish_update(cold);
+  proposed_ = stage(deltas, cold);
+  proposal_cold_ = cold;
+  proposal_open_ = true;
+  return proposed_;
+}
+
+const MeasureSet& MeasureView::accept() {
+  hetero::detail::require_value(proposal_open_,
+                                "MeasureView::accept: no open proposal");
+  proposal_open_ = false;
+  commit(proposed_, proposal_cold_);
+  return finish_update(proposal_cold_);
+}
+
+void MeasureView::reject() {
+  hetero::detail::require_value(proposal_open_,
+                                "MeasureView::reject: no open proposal");
+  proposal_open_ = false;
+  unstage();
 }
 
 const MeasureSet& MeasureView::add_task(std::span<const double> ecs_row) {
@@ -292,8 +334,7 @@ const MeasureSet& MeasureView::remove_machine(std::size_t machine) {
 const MeasureSet& MeasureView::apply_structural(Matrix next, bool row_side,
                                                 double seed, bool erase,
                                                 std::size_t index) {
-  const std::size_t old_min = std::min(matrix_.rows(), matrix_.cols());
-  const std::size_t new_min = std::min(next.rows(), next.cols());
+  require_no_proposal();
   const bool cold = next_update_cold();
   Matrix old_matrix = std::move(matrix_);
   matrix_ = std::move(next);
@@ -301,48 +342,32 @@ const MeasureSet& MeasureView::apply_structural(Matrix next, bool row_side,
   saved_col_sums_.swap(col_sums_);
   saved_sorted_row_sums_.swap(sorted_row_sums_);
   saved_sorted_col_sums_.swap(sorted_col_sums_);
-  std::vector<double> old_warm_row = warm_row_scale_;
-  std::vector<double> old_warm_col = warm_col_scale_;
-  row_sums_ = matrix_.row_sums();
-  col_sums_ = matrix_.col_sums();
-  sorted_row_sums_ = row_sums_;
-  sorted_col_sums_ = col_sums_;
-  std::sort(sorted_row_sums_.begin(), sorted_row_sums_.end());
-  std::sort(sorted_col_sums_.begin(), sorted_col_sums_.end());
-  if (!cold) {
-    std::vector<double>& scale = row_side ? warm_row_scale_ : warm_col_scale_;
-    if (!scale.empty()) {
-      if (erase)
-        scale.erase(scale.begin() + static_cast<std::ptrdiff_t>(index));
-      else
-        scale.push_back(seed);
-    }
-    if (new_min != old_min) resize_spectral();
+  saved_cells_.clear();
+  reset_sums();
+  std::vector<double>& scale = row_side ? warm_row_scale_ : warm_col_scale_;
+  const std::vector<double> old_scale = scale;
+  if (!cold && !scale.empty()) {
+    if (erase)
+      scale.erase(scale.begin() + static_cast<std::ptrdiff_t>(index));
+    else
+      scale.push_back(seed);
   }
+  MeasureSet s;
   try {
-    if (cold) {
-      rebuild_from_matrix();
-    } else {
-      MeasureSet s = evaluate();
-      current_ = s;
-      commit_pending();
-    }
+    s = evaluate(cold);
   } catch (...) {
     matrix_ = std::move(old_matrix);
-    row_sums_.swap(saved_row_sums_);
-    col_sums_.swap(saved_col_sums_);
-    sorted_row_sums_.swap(saved_sorted_row_sums_);
-    sorted_col_sums_.swap(saved_sorted_col_sums_);
-    warm_row_scale_ = std::move(old_warm_row);
-    warm_col_scale_ = std::move(old_warm_col);
-    if (new_min != old_min) resize_spectral();
+    unstage();
+    scale = old_scale;
     throw;
   }
+  commit(s, cold);
   return finish_update(cold);
 }
 
 const MeasureSet& MeasureView::refresh() {
-  rebuild_from_matrix();
+  require_no_proposal();
+  commit(stage({}, /*cold=*/true), /*cold=*/true);
   ++stats_.cold_refreshes;
   stats_.last_update_cold = true;
   return current_;

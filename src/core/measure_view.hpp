@@ -4,8 +4,7 @@
 // observed runtimes revise ETC entries — yet the paper's measures are global
 // functions of the whole ECS matrix. MeasureView keeps them current under a
 // stream of deltas without paying a full standardize+SVD recompute per
-// change, by promoting the annealing warm-start machinery
-// (etcgen::IncrementalMeasures) into a first-class online API:
+// change:
 //
 //   - row and column sums are maintained incrementally (sorted copies
 //     resorted by O(n) erase/insert), so MPH/TDH never re-sort;
@@ -22,6 +21,11 @@
 // recompute everything from scratch — which is bit-identical to
 // cold_measures() on the same matrix (the retained equivalence twin,
 // verified under the `stream_equiv` ctest label).
+//
+// The same engine serves the annealing generator of ETC matrices with
+// prescribed measures (etcgen::generate_with_measures): propose() evaluates
+// a candidate change without committing it, and accept() or reject() settles
+// it, so a Metropolis chain pays one warm evaluation per candidate.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +56,7 @@ struct MeasureViewOptions {
   /// refreshes. Non-positive budgets make every update a cold refresh.
   double error_budget = 1e-5;
   /// Hard cap on updates between cold refreshes regardless of budget,
-  /// bounding floating-point drift of the incremental sums (mirrors
-  /// IncrementalMeasures::rebuild_interval).
+  /// bounding floating-point drift of the incremental sums.
   std::size_t max_updates_between_refresh = 256;
 };
 
@@ -63,6 +66,12 @@ struct MeasureViewOptions {
 /// throws (out-of-range index, non-positive value, ScaleOverflowError from
 /// a sum driven past the scale guard), the matrix, sums, and published
 /// measures are exactly as before the call, and the view remains usable.
+///
+/// An update is either applied directly (set_entries and the structural
+/// mutators) or staged as a proposal: propose() evaluates the view with the
+/// deltas applied, and exactly one of accept() (commit, same effect as
+/// set_entries) or reject() (restore bit for bit) must follow. While a
+/// proposal is open every other mutator throws ValueError.
 ///
 /// Not thread-safe; callers serialize access (the service wraps each
 /// session's view in a ranked mutex).
@@ -97,7 +106,23 @@ class MeasureView {
 
   /// Applies a batch of cell revisions and re-evaluates once (one drift
   /// charge for the whole batch). Duplicate cells apply in order.
+  /// Equivalent to propose(deltas) followed by accept().
   const MeasureSet& set_entries(std::span<const CellDelta> deltas);
+
+  /// Evaluates the view with a non-empty batch of cell revisions applied,
+  /// on the path the next update would take: warm, or a cold refresh when
+  /// the budget or cap is spent. Until accept() or reject(), ecs() holds the
+  /// candidate and current() the committed measures; a cold proposal leaves
+  /// the committed warm state untouched. Returns the candidate's measures.
+  const MeasureSet& propose(std::span<const CellDelta> deltas);
+
+  /// Commits the open proposal as one update and publishes its measures.
+  const MeasureSet& accept();
+
+  /// Discards the open proposal: matrix, sums, warm state, and Stats are
+  /// exactly as before propose(), so re-proposing the same deltas
+  /// reproduces the same bits.
+  void reject();
 
   /// Appends a task type (row of `machines()` positive finite ECS values).
   const MeasureSet& add_task(std::span<const double> ecs_row);
@@ -127,27 +152,35 @@ class MeasureView {
                                   const SinkhornOptions& sinkhorn = {});
 
  private:
-  // Evaluates the current matrix using the maintained sorted sums, warm
-  // scales, and eigenbasis; stages refined scales/basis in pending_*.
-  MeasureSet evaluate();
-  // Adopts pending scales/basis after a successful evaluation.
-  void commit_pending();
-  // Resets sums, warm state, and spectral workspace from the matrix and
-  // recomputes (the cold path). Does not touch version counters.
-  void rebuild_from_matrix();
-  // Records one successful update: charges drift or performs the automatic
-  // cold refresh, and bumps counters.
-  const MeasureSet& finish_update(bool forced_cold);
+  // Measures of the current matrix from the maintained sorted sums. Cold
+  // starts Sinkhorn unseeded and the eigensolve at the identity (the
+  // cold_measures() pipeline); warm seeds both from the committed scalings
+  // and eigenbasis. Only reads the committed state: the refined scalings
+  // and basis are staged in pending_* for commit().
+  MeasureSet evaluate(bool cold);
+  // Publishes `s` and adopts the staged scalings and basis; a cold commit
+  // also restarts the drift account. Does not touch version counters.
+  void commit(const MeasureSet& s, bool cold);
+  // Applies `deltas` to the matrix and sums (recomputed from scratch when
+  // cold) and evaluates; on a throw restores everything and rethrows.
+  MeasureSet stage(std::span<const CellDelta> deltas, bool cold);
+  // Undoes the last stage(): restores its cells and the sums before it.
+  void unstage();
+  // Recomputes row/column sums and their sorted copies from the matrix.
+  void reset_sums();
+  // Records one successful update: charges drift or counts the cold
+  // refresh, and bumps counters.
+  const MeasureSet& finish_update(bool cold);
   // True when the next update must take the cold path.
   bool next_update_cold() const noexcept;
+  // Throws ValueError while a proposal is open.
+  void require_no_proposal() const;
   // Shared commit/rollback path for add/remove task/machine. `row_side`
   // selects which warm scale vector gains (`erase` false, seeded with
   // `seed`) or loses (`erase` true, at `index`) an entry.
   const MeasureSet& apply_structural(linalg::Matrix next, bool row_side,
                                      double seed, bool erase,
                                      std::size_t index);
-  // Resizes gram_/eigbasis_ for the current matrix shape.
-  void resize_spectral();
 
   linalg::Matrix matrix_;
   MeasureViewOptions options_;
@@ -164,10 +197,15 @@ class MeasureView {
   MeasureSet current_{};
   Stats stats_{};
   std::size_t updates_since_refresh_ = 0;
-  // Rollback scratch for the strong exception guarantee on entry batches.
+  // The open proposal: its measures and whether it took the cold path.
+  bool proposal_open_ = false;
+  bool proposal_cold_ = false;
+  MeasureSet proposed_{};
+  // Rollback state of the last stage(): the sums before it and the
+  // overwritten cells (with their old values) in application order.
   std::vector<double> saved_row_sums_, saved_col_sums_;
   std::vector<double> saved_sorted_row_sums_, saved_sorted_col_sums_;
-  std::vector<double> saved_cell_values_;
+  std::vector<CellDelta> saved_cells_;
 };
 
 }  // namespace hetero::core

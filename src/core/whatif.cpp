@@ -49,9 +49,9 @@ EcsMatrix add_task(const EcsMatrix& ecs, std::span<const double> speeds,
   for (std::size_t j = 0; j < ecs.machine_count(); ++j)
     values(ecs.task_count(), j) = speeds[j];
   auto task_names = ecs.task_names();
-  task_names.push_back(name.empty()
-                           ? "t" + std::to_string(ecs.task_count() + 1)
-                           : std::move(name));
+  if (name.empty())
+    name.append("t").append(std::to_string(ecs.task_count() + 1));
+  task_names.push_back(std::move(name));
   return EcsMatrix(std::move(values), std::move(task_names),
                    ecs.machine_names());
 }
@@ -67,9 +67,9 @@ EcsMatrix add_machine(const EcsMatrix& ecs, std::span<const double> speeds,
     values(i, ecs.machine_count()) = speeds[i];
   }
   auto machine_names = ecs.machine_names();
-  machine_names.push_back(name.empty()
-                              ? "m" + std::to_string(ecs.machine_count() + 1)
-                              : std::move(name));
+  if (name.empty())
+    name.append("m").append(std::to_string(ecs.machine_count() + 1));
+  machine_names.push_back(std::move(name));
   return EcsMatrix(std::move(values), ecs.task_names(),
                    std::move(machine_names));
 }

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <utility>
 
+#include "core/measure_view.hpp"
 #include "core/standard_form.hpp"
-#include "linalg/jacobi_eigen.hpp"
 #include "linalg/svd.hpp"
 
 namespace hetero::etcgen {
@@ -13,15 +15,6 @@ namespace {
 
 using core::MeasureSet;
 using linalg::Matrix;
-
-// Replaces one occurrence of `old_value` in the sorted vector `v` with
-// `new_value`, keeping it sorted: one erase and one shifted insert, O(n)
-// moves and no per-evaluation sort.
-void replace_sorted(std::vector<double>& v, double old_value,
-                    double new_value) {
-  v.erase(std::lower_bound(v.begin(), v.end(), old_value));
-  v.insert(std::upper_bound(v.begin(), v.end(), new_value), new_value);
-}
 
 double mean_nonmax_singular_value(std::span<const double> sigma) {
   if (sigma.size() <= 1) return 0.0;
@@ -103,15 +96,18 @@ Attempt run_restart(const TargetMeasures& target,
   anneal_opts.t1 = 1e-7;
   anneal_opts.target_energy = options.tolerance * 0.5;
 
-  // Metropolis loop over single-entry proposals. The incremental evaluator
-  // keeps the candidate's measures cheap (no matrix copies, no sort, a
-  // warm-started search-grade standardization, and a Gram-path SVD), which
-  // is what makes the proposal chain thousands of evaluations long at
-  // interactive speed.
-  IncrementalMeasures inc(std::move(seed_matrix),
-                          search_sinkhorn_options(options.tolerance));
-  double current_e = measure_error(inc.current(), target);
-  Matrix best = inc.matrix();
+  // Metropolis loop over single-entry proposals. The view keeps each
+  // candidate's measures cheap (no matrix copies, no sort, a warm-started
+  // search-grade standardization, and a warm Gram eigensolve), which is what
+  // makes the proposal chain thousands of evaluations long at interactive
+  // speed. The budget is unlimited, so only the view's update cap forces a
+  // cold refresh, bounding drift of the incremental sums.
+  core::MeasureViewOptions view_options;
+  view_options.sinkhorn = search_sinkhorn_options(options.tolerance);
+  view_options.error_budget = std::numeric_limits<double>::infinity();
+  core::MeasureView view(std::move(seed_matrix), std::move(view_options));
+  double current_e = measure_error(view.current(), target);
+  Matrix best = view.ecs();
   double best_e = current_e;
 
   for (std::size_t it = 0; it < anneal_opts.iterations; ++it) {
@@ -119,21 +115,23 @@ Attempt run_restart(const TargetMeasures& target,
     const double temp = anneal_temperature(anneal_opts, it);
     // Step size tracks temperature: broad early, fine late.
     const double sigma = 0.02 + 0.5 * std::min(temp, 1.0);
-    const std::size_t k = uniform_index(rng, inc.matrix().size());
-    const double value =
-        inc.matrix().data()[k] * std::exp(normal(rng, 0.0, sigma));
-    const double cand_e = measure_error(inc.propose(k, value), target);
+    const std::size_t k = uniform_index(rng, view.ecs().size());
+    const core::CellDelta cell{k / view.machines(), k % view.machines(),
+                               view.ecs().data()[k] *
+                                   std::exp(normal(rng, 0.0, sigma))};
+    const double cand_e = measure_error(
+        view.propose(std::span<const core::CellDelta>(&cell, 1)), target);
     const double delta = cand_e - current_e;
     if (delta <= 0.0 || uniform(rng, 0.0, 1.0) <
                             std::exp(-delta / std::max(temp, 1e-300))) {
-      inc.accept();
+      view.accept();
       current_e = cand_e;
       if (current_e < best_e) {
-        best = inc.matrix();
+        best = view.ecs();
         best_e = current_e;
       }
     } else {
-      inc.reject();
+      view.reject();
     }
   }
 
@@ -171,134 +169,6 @@ MeasureSet measure_set_raw(const Matrix& ecs) {
   const auto sf = core::standardize(ecs, energy_sinkhorn());
   s.tma = mean_nonmax_singular_value(linalg::singular_values(sf.standard));
   return s;
-}
-
-IncrementalMeasures::IncrementalMeasures(Matrix matrix,
-                                         core::SinkhornOptions sinkhorn)
-    : matrix_(std::move(matrix)), sinkhorn_(std::move(sinkhorn)) {
-  hetero::detail::require_value(!matrix_.empty() && matrix_.all_positive(),
-                                "IncrementalMeasures: matrix must be "
-                                "non-empty and strictly positive");
-  sinkhorn_.warm_row_scale.clear();
-  sinkhorn_.warm_col_scale.clear();
-  const std::size_t mn = std::min(matrix_.rows(), matrix_.cols());
-  gram_ = Matrix(mn, mn, 0.0);
-  eigbasis_ = Matrix::identity(mn);
-  rebuild();
-}
-
-MeasureSet IncrementalMeasures::evaluate() {
-  MeasureSet s;
-  s.mph = core::adjacent_ratio_homogeneity_sorted(sorted_col_sums_);
-  s.tdh = core::adjacent_ratio_homogeneity_sorted(sorted_row_sums_);
-  if (std::min(matrix_.rows(), matrix_.cols()) == 1) {
-    s.tma = 0.0;
-    pending_row_scale_.clear();
-    pending_col_scale_.clear();
-    return s;
-  }
-  // warm_*_scale_ hold the incumbent's scalings (empty on the first
-  // evaluation): a cold start then, a re-convergence from a near-fixed-point
-  // seed on single-entry proposals afterwards. The lean solver skips
-  // validation/classification (the matrix is positive by construction) and
-  // reuses sf_'s storage. TMA comes from the Gram path
-  // (linalg::singular_values_gram semantics, allocation-free): ~1e-8
-  // absolute accuracy at worst on tiny singular values — far below any
-  // energy difference the annealing acceptance rule acts on.
-  sinkhorn_.warm_row_scale = warm_row_scale_;
-  sinkhorn_.warm_col_scale = warm_col_scale_;
-  core::standardize_positive_into(matrix_, sinkhorn_, sf_);
-  linalg::min_gram_into(sf_.standard, gram_);
-  // Diagonalize the candidate's Gram in the incumbent's eigenbasis: a
-  // single-entry proposal perturbs the Gram only slightly, so the congruence
-  // B = V^T G V is already near-diagonal and the Jacobi cleanup converges in
-  // one or two sweeps instead of a cold solve. The congruence is an exact
-  // similarity, so accuracy is unchanged; 1e-8 on the off-diagonals bounds
-  // the eigenvalue error by ~1e-8, orders below the energy scale.
-  linalg::JacobiEigenOptions eig_opt;
-  eig_opt.tol = 1e-8;
-  pending_eigbasis_ = eigbasis_;
-  linalg::symmetric_eigenvalues_warm(gram_, pending_eigbasis_, eig_, eig_ws_,
-                                     eig_opt);
-  double acc = 0.0;
-  for (std::size_t i = 1; i < eig_.size(); ++i)
-    acc += std::sqrt(std::max(eig_[i], 0.0));
-  s.tma = acc / static_cast<double>(eig_.size() - 1);
-  pending_row_scale_ = sf_.row_scale;
-  pending_col_scale_ = sf_.col_scale;
-  return s;
-}
-
-void IncrementalMeasures::rebuild() {
-  hetero::detail::require_value(!has_pending_,
-                                "IncrementalMeasures::rebuild: outstanding "
-                                "proposal; accept() or reject() first");
-  row_sums_ = matrix_.row_sums();
-  col_sums_ = matrix_.col_sums();
-  sorted_row_sums_ = row_sums_;
-  sorted_col_sums_ = col_sums_;
-  std::sort(sorted_row_sums_.begin(), sorted_row_sums_.end());
-  std::sort(sorted_col_sums_.begin(), sorted_col_sums_.end());
-  if (!gram_.empty()) eigbasis_ = Matrix::identity(gram_.rows());
-  current_ = evaluate();
-  warm_row_scale_ = std::move(pending_row_scale_);
-  warm_col_scale_ = std::move(pending_col_scale_);
-  std::swap(eigbasis_, pending_eigbasis_);
-}
-
-const MeasureSet& IncrementalMeasures::propose(std::size_t k, double value) {
-  hetero::detail::require_value(!has_pending_,
-                                "IncrementalMeasures::propose: outstanding "
-                                "proposal; accept() or reject() first");
-  hetero::detail::require_dims(k < matrix_.size(),
-                               "IncrementalMeasures::propose: index out of "
-                               "range");
-  hetero::detail::require_value(value > 0.0 && std::isfinite(value),
-                                "IncrementalMeasures::propose: value must "
-                                "be positive and finite");
-  const std::size_t i = k / matrix_.cols();
-  const std::size_t j = k % matrix_.cols();
-  pending_k_ = k;
-  pending_old_value_ = matrix_.data()[k];
-  matrix_.data()[k] = value;
-
-  const double delta = value - pending_old_value_;
-  old_row_sum_ = row_sums_[i];
-  new_row_sum_ = old_row_sum_ + delta;
-  old_col_sum_ = col_sums_[j];
-  new_col_sum_ = old_col_sum_ + delta;
-  row_sums_[i] = new_row_sum_;
-  col_sums_[j] = new_col_sum_;
-  replace_sorted(sorted_row_sums_, old_row_sum_, new_row_sum_);
-  replace_sorted(sorted_col_sums_, old_col_sum_, new_col_sum_);
-
-  pending_ = evaluate();
-  has_pending_ = true;
-  return pending_;
-}
-
-void IncrementalMeasures::accept() {
-  hetero::detail::require_value(has_pending_,
-                                "IncrementalMeasures::accept: no proposal");
-  has_pending_ = false;
-  current_ = pending_;
-  warm_row_scale_ = std::move(pending_row_scale_);
-  warm_col_scale_ = std::move(pending_col_scale_);
-  std::swap(eigbasis_, pending_eigbasis_);
-  if (++commits_ % rebuild_interval == 0) rebuild();
-}
-
-void IncrementalMeasures::reject() {
-  hetero::detail::require_value(has_pending_,
-                                "IncrementalMeasures::reject: no proposal");
-  has_pending_ = false;
-  matrix_.data()[pending_k_] = pending_old_value_;
-  const std::size_t i = pending_k_ / matrix_.cols();
-  const std::size_t j = pending_k_ % matrix_.cols();
-  row_sums_[i] = old_row_sum_;
-  col_sums_[j] = old_col_sum_;
-  replace_sorted(sorted_row_sums_, new_row_sum_, old_row_sum_);
-  replace_sorted(sorted_col_sums_, new_col_sum_, old_col_sum_);
 }
 
 Matrix rank1_seed(const TargetMeasures& target, std::size_t tasks,

@@ -18,7 +18,6 @@
 #include "core/etc_matrix.hpp"
 #include "core/measures.hpp"
 #include "etcgen/anneal.hpp"
-#include "linalg/jacobi_eigen.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace hetero::etcgen {
@@ -62,95 +61,6 @@ core::MeasureSet measure_set_raw(const linalg::Matrix& ecs);
 /// acceptance tolerance; the accepted matrix is re-measured at full
 /// precision for reporting. Exposed for benchmarks and tests.
 core::SinkhornOptions search_sinkhorn_options(double generator_tolerance);
-
-/// Stateful (MPH, TDH, TMA) evaluator for single-entry proposal chains —
-/// the annealing hot path, where thousands of candidates each differ from
-/// the incumbent in exactly one entry.
-///
-/// Instead of recomputing everything per candidate, it maintains:
-///   - row and column sums, updated by the single entry's delta;
-///   - sorted copies of both sum vectors, resorted by one O(n) erase/insert,
-///     so MPH/TDH need no per-evaluation sort;
-///   - the incumbent's Sinkhorn scalings, used to warm-start the TMA
-///     standardization (a one-entry perturbation restarts the iteration
-///     near its fixed point, skipping the cold ramp-in);
-///   - the eigenbasis of the incumbent's Gram matrix: each candidate's Gram
-///     is diagonalized by congruence into that basis, where it is already
-///     near-diagonal, so the Jacobi cleanup takes one or two sweeps instead
-///     of a cold solve.
-///
-/// TMA singular values come from the Gram path
-/// (linalg::singular_values_gram semantics): exact to ~1e-8 absolute at
-/// worst, far below any energy difference the annealing acceptance rule
-/// acts on.
-///
-/// Usage: propose() evaluates a candidate in place; exactly one of accept()
-/// or reject() must follow before the next propose(). accept() rebuilds all
-/// maintained state from scratch every `rebuild_interval` commits, bounding
-/// floating-point drift of the incremental sums.
-class IncrementalMeasures {
- public:
-  /// `matrix` must be strictly positive with at least one entry. `sinkhorn`
-  /// is the budget applied to every TMA standardization; its warm-start
-  /// fields are overwritten internally.
-  explicit IncrementalMeasures(linalg::Matrix matrix,
-                               core::SinkhornOptions sinkhorn = {});
-
-  /// The incumbent matrix — or, between propose() and accept()/reject(),
-  /// the candidate.
-  const linalg::Matrix& matrix() const noexcept { return matrix_; }
-
-  /// Measures of the last committed state.
-  const core::MeasureSet& current() const noexcept { return current_; }
-
-  /// Evaluates the matrix with flat entry `k` replaced by `value` (> 0).
-  /// The change is applied tentatively; accept() keeps it, reject() reverts.
-  const core::MeasureSet& propose(std::size_t k, double value);
-
-  void accept();
-  void reject();
-
-  /// Recomputes sums, sorted copies, and measures from scratch — the drift
-  /// guard. Called automatically by accept() every `rebuild_interval`
-  /// commits; callable any time there is no outstanding proposal.
-  void rebuild();
-
-  /// Commits between automatic rebuilds; chosen so accumulated sum drift
-  /// stays orders of magnitude below measure tolerances.
-  static constexpr std::size_t rebuild_interval = 256;
-
- private:
-  core::MeasureSet evaluate();
-
-  linalg::Matrix matrix_;
-  core::SinkhornOptions sinkhorn_;
-  std::vector<double> row_sums_, col_sums_;
-  std::vector<double> sorted_row_sums_, sorted_col_sums_;
-  // Committed scalings used as the warm-start seed for candidate TMA
-  // standardizations; the scalings each evaluate() produces are staged in
-  // pending_*_scale_ and adopted on accept().
-  std::vector<double> warm_row_scale_, warm_col_scale_;
-  std::vector<double> pending_row_scale_, pending_col_scale_;
-  // Reused per-evaluation workspace: the standardization result, the
-  // min-dimension Gram matrix, and its eigenvalues. Heap blocks survive
-  // across proposals, so the steady-state hot path allocates nothing.
-  core::StandardFormResult sf_;
-  linalg::Matrix gram_;
-  std::vector<double> eig_;
-  // Eigenbasis of the incumbent's Gram matrix, the warm start for candidate
-  // eigensolves; the refined basis each evaluate() produces is staged in
-  // pending_eigbasis_ and adopted on accept(). rebuild() resets the basis to
-  // the identity (a cold accumulate), bounding orthogonality drift.
-  linalg::Matrix eigbasis_, pending_eigbasis_;
-  linalg::WarmEigenWorkspace eig_ws_;
-  core::MeasureSet current_{}, pending_{};
-  std::size_t pending_k_ = 0;
-  double pending_old_value_ = 0.0;
-  double old_row_sum_ = 0.0, new_row_sum_ = 0.0;
-  double old_col_sum_ = 0.0, new_col_sum_ = 0.0;
-  std::size_t commits_ = 0;
-  bool has_pending_ = false;
-};
 
 /// The rank-1 seed with exact MPH/TDH and TMA = 0.
 linalg::Matrix rank1_seed(const TargetMeasures& target, std::size_t tasks,

@@ -63,12 +63,13 @@ bool is_blank(std::string_view line) noexcept {
   return line.find_first_not_of(" \t\r") == std::string_view::npos;
 }
 
+// Entries in each worker's raw-line memo.
+constexpr std::size_t kLineMemoEntries = 64;
+
 /// Worker-local exact-match LRU of raw request line -> response. Single
 /// threaded (loop thread only), so no locks; eviction is oldest-stamp.
 class LineMemo {
  public:
-  explicit LineMemo(std::size_t capacity) : capacity_(capacity) {}
-
   struct Entry {
     std::uint64_t hash = 0;
     std::uint64_t stamp = 0;
@@ -89,8 +90,7 @@ class LineMemo {
 
   void put(std::uint64_t hash, std::string line, std::string response,
            RequestKind kind) {
-    if (capacity_ == 0) return;
-    if (entries_.size() < capacity_) {
+    if (entries_.size() < kLineMemoEntries) {
       entries_.push_back(Entry{hash, ++clock_, kind, std::move(line),
                                std::move(response)});
       return;
@@ -103,7 +103,6 @@ class LineMemo {
   }
 
  private:
-  std::size_t capacity_;
   std::uint64_t clock_ = 0;
   std::vector<Entry> entries_;
 };
@@ -181,7 +180,7 @@ struct EventLoopServer::Worker {
   int epoll_fd = -1;
   int listen_fd = -1;
   std::shared_ptr<WorkerChannel> channel;
-  LineMemo memo{0};
+  LineMemo memo;
 
   struct Conn {
     int fd = -1;
@@ -233,7 +232,6 @@ bool EventLoopServer::start(std::ostream& log) {
   for (std::size_t w = 0; w < options_.workers; ++w) {
     auto worker = std::make_unique<Worker>();
     worker->index = w;
-    worker->memo = LineMemo(options_.line_memo_entries);
     // Worker 0 may bind an ephemeral port; the rest join it via REUSEPORT.
     worker->listen_fd = make_listener(
         w == 0 ? options_.port : bound_port_, log);
@@ -299,9 +297,6 @@ void EventLoopServer::request_shutdown() noexcept {
 
 void EventLoopServer::loop(Worker& w) {
   auto& gauges = server_.metrics().connections();
-  const std::size_t inline_worker =
-      options_.inline_warm_hits ? w.index : shard_map_.worker_count();
-
   const auto update_interest = [&](std::uint64_t id, Worker::Conn& conn) {
     epoll_event ev{};
     ev.data.u64 = id;
@@ -471,7 +466,7 @@ void EventLoopServer::loop(Worker& w) {
           [channel = w.channel, id](std::string r) {
             channel->post(id, std::move(r));
           },
-          &shard_map_, inline_worker, &info, conn.session.get());
+          &shard_map_, w.index, &info, conn.session.get());
       if (response) {
         if (info.inline_hit && !info.had_deadline)
           w.memo.put(line_hash, std::move(frame->line), *response, info.kind);

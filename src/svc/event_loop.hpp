@@ -67,11 +67,6 @@ struct EventLoopOptions {
   std::chrono::milliseconds idle_timeout{30000};
   /// Graceful-shutdown budget for flushing in-flight responses.
   std::chrono::milliseconds drain_grace{5000};
-  /// Per-worker raw-line memo entries; 0 disables the memo.
-  std::size_t line_memo_entries = 64;
-  /// Serve warm cache hits inline on the loop thread (shard-ownership
-  /// gated). Off = every request takes the queue/pool path.
-  bool inline_warm_hits = true;
 };
 
 class EventLoopServer {

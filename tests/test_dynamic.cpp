@@ -336,7 +336,6 @@ TEST(DynamicBatchEquivalence, BurstyArrivalsMatchColdReference) {
 TEST(DynamicBatchEquivalence, IncapableMachinesMatchColdReference) {
   EtcMatrix etc(Matrix{{1, kInf, 4}, {kInf, 1, 5}, {2, 2, kInf}});
   std::vector<Arrival> arrivals;
-  hetero::etcgen::Rng rng = hetero::etcgen::make_rng(107);
   for (std::size_t k = 0; k < 60; ++k)
     arrivals.push_back(
         {static_cast<double>(k) * 0.3, k % etc.task_count()});

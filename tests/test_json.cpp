@@ -402,7 +402,10 @@ TEST(JsonParseStack, NestedAndMixedContainers) {
 
 TEST(JsonParseStack, LargeArray) {
   std::string doc = "[";
-  for (int i = 0; i < 10000; ++i) doc += (i ? "," : "") + std::to_string(i);
+  for (int i = 0; i < 10000; ++i) {
+    if (i) doc += ',';
+    doc += std::to_string(i);
+  }
   doc += "]";
   const auto v = io::parse_json(doc);
   const auto& a = v.as_array();

@@ -5,9 +5,13 @@
 // forward model. Runs under the `stream_equiv` ctest label (TSan in CI).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <random>
+#include <span>
 #include <vector>
 
 #include "base/error.hpp"
@@ -273,6 +277,315 @@ TEST(MeasureView, IdenticalStreamsAreBitIdentical) {
   }
   EXPECT_EQ(a.stats().cold_refreshes, b.stats().cold_refreshes);
   EXPECT_EQ(a.stats().accumulated_drift, b.stats().accumulated_drift);
+}
+
+// ---- Recorded bits of a seeded update script ----
+//
+// A digest (FNV-1a 64) over the published measure bits, the shape, and every
+// Stats field after each operation of a seeded script. The expected values
+// were recorded before the view's staging/commit path was rewritten around
+// proposals; any change to the bits any operation publishes, or to when a
+// cold refresh fires, fails here.
+
+class Digest {
+ public:
+  void add(std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (x >> (8 * b)) & 0xffu;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
+  void add(const MeasureView& v) {
+    add(v.current().mph);
+    add(v.current().tdh);
+    add(v.current().tma);
+    add(static_cast<std::uint64_t>(v.tasks()));
+    add(static_cast<std::uint64_t>(v.machines()));
+    add(v.stats().version);
+    add(v.stats().warm_updates);
+    add(v.stats().cold_refreshes);
+    add(v.stats().accumulated_drift);
+    add(static_cast<std::uint64_t>(v.stats().last_update_cold));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// Mixed script under a finite budget: 1-, 4- and 20-cell batches (20 takes
+// the re-sort path), structural add/remove on both axes, forced refreshes,
+// and invalid operations that must leave the view untouched.
+std::uint64_t mixed_script_digest(std::uint64_t* cold_refreshes) {
+  MeasureViewOptions options;
+  options.error_budget = 1e-6;
+  MeasureView view(random_ecs(24, 10, 2024), options);
+  hetero::etcgen::Rng rng(77);
+  Digest digest;
+  digest.add(view);
+  constexpr std::size_t kBatch[] = {1, 4, 20};
+  for (int op = 0; op < 1000; ++op) {
+    const double roll = hetero::etcgen::uniform(rng, 0.0, 1.0);
+    if (roll < 0.8) {
+      std::vector<CellDelta> deltas(
+          kBatch[hetero::etcgen::uniform_index(rng, 3)]);
+      for (CellDelta& d : deltas) {
+        d.task = hetero::etcgen::uniform_index(rng, view.tasks());
+        d.machine = hetero::etcgen::uniform_index(rng, view.machines());
+        d.value = view.ecs()(d.task, d.machine) *
+                  std::exp(hetero::etcgen::uniform(rng, -0.4, 0.4));
+      }
+      view.set_entries(deltas);
+    } else if (roll < 0.84) {
+      if (view.tasks() < 32) view.add_task(random_vector(view.machines(), rng));
+    } else if (roll < 0.88) {
+      if (view.tasks() > 16)
+        view.remove_task(hetero::etcgen::uniform_index(rng, view.tasks()));
+    } else if (roll < 0.92) {
+      if (view.machines() < 14)
+        view.add_machine(random_vector(view.tasks(), rng));
+    } else if (roll < 0.96) {
+      if (view.machines() > 6)
+        view.remove_machine(
+            hetero::etcgen::uniform_index(rng, view.machines()));
+    } else if (roll < 0.98) {
+      view.refresh();
+    } else {
+      EXPECT_THROW(view.set_entry(view.tasks(), 0, 1.0), hetero::Error);
+      EXPECT_THROW(view.set_entry(0, 0, -1.0), hetero::Error);
+    }
+    digest.add(view);
+  }
+  *cold_refreshes = view.stats().cold_refreshes;
+  return digest.value();
+}
+
+// The annealing configuration: search-grade Sinkhorn, an unlimited budget,
+// and single-cell updates, so only the 256-update cap forces cold refreshes.
+std::uint64_t capped_script_digest(std::uint64_t* cold_refreshes) {
+  MeasureViewOptions options;
+  options.sinkhorn = hetero::etcgen::search_sinkhorn_options(0.02);
+  options.error_budget = std::numeric_limits<double>::infinity();
+  MeasureView view(random_ecs(8, 6, 31), options);
+  hetero::etcgen::Rng rng(32);
+  Digest digest;
+  digest.add(view);
+  for (int op = 0; op < 800; ++op) {
+    const std::size_t i = hetero::etcgen::uniform_index(rng, view.tasks());
+    const std::size_t j = hetero::etcgen::uniform_index(rng, view.machines());
+    view.set_entry(i, j,
+                   view.ecs()(i, j) *
+                       std::exp(hetero::etcgen::normal(rng, 0.0, 0.2)));
+    digest.add(view);
+  }
+  *cold_refreshes = view.stats().cold_refreshes;
+  return digest.value();
+}
+
+TEST(MeasureViewGolden, UpdateScriptMatchesRecordedBits) {
+  std::uint64_t mixed_cold = 0, capped_cold = 0;
+  const std::uint64_t mixed = mixed_script_digest(&mixed_cold);
+  const std::uint64_t capped = capped_script_digest(&capped_cold);
+  // The scripts must cross several cold refreshes to pin their bits.
+  EXPECT_GE(mixed_cold, 3u);
+  EXPECT_GE(capped_cold, 3u);
+  EXPECT_EQ(mixed, 0x389b7a6de725f497ULL)
+      << std::hex << "mixed digest 0x" << mixed;
+  EXPECT_EQ(capped, 0x4d346bc52bb2085aULL)
+      << std::hex << "capped digest 0x" << capped;
+}
+
+// ---- Proposals: the annealing generator's evaluate/accept/reject chain ----
+
+Matrix chain_seed(std::size_t rows, std::size_t cols, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> dist(0.2, 8.0);
+  Matrix m(rows, cols);
+  for (double& x : m.data()) x = dist(rng);
+  return m;
+}
+
+// The generator's configuration: only the update cap forces a refresh.
+MeasureViewOptions chain_options(const hetero::core::SinkhornOptions& sk) {
+  MeasureViewOptions options;
+  options.sinkhorn = sk;
+  options.error_budget = std::numeric_limits<double>::infinity();
+  return options;
+}
+
+const MeasureSet& propose_one(MeasureView& view, std::size_t task,
+                              std::size_t machine, double value) {
+  const CellDelta d{task, machine, value};
+  return view.propose(std::span<const CellDelta>(&d, 1));
+}
+
+void expect_stats_equal(const MeasureView::Stats& a,
+                        const MeasureView::Stats& b) {
+  EXPECT_EQ(a.version, b.version);
+  EXPECT_EQ(a.warm_updates, b.warm_updates);
+  EXPECT_EQ(a.cold_refreshes, b.cold_refreshes);
+  EXPECT_EQ(a.accumulated_drift, b.accumulated_drift);
+  EXPECT_EQ(a.last_update_cold, b.last_update_cold);
+}
+
+TEST(MeasureViewProposal, MatchesFreshRecomputeAfterLongChain) {
+  // Drive the view through enough accepted proposals to cross the update
+  // cap, with a mix of accepts and rejects, then compare the maintained
+  // state against a cold evaluation of the final matrix.
+  hetero::core::SinkhornOptions opts;
+  opts.tolerance = 1e-9;
+  opts.max_iterations = 500;
+  MeasureView view(chain_seed(9, 6, 1234), chain_options(opts));
+  std::mt19937 rng(99);
+  std::uniform_int_distribution<std::size_t> pick(0, 9 * 6 - 1);
+  std::uniform_real_distribution<double> step(-0.3, 0.3);
+  for (int p = 0; p < 600; ++p) {
+    const std::size_t k = pick(rng);
+    propose_one(view, k / 6, k % 6, view.ecs().data()[k] * std::exp(step(rng)));
+    if (p % 3 != 0)
+      view.accept();
+    else
+      view.reject();
+  }
+  EXPECT_GE(view.stats().cold_refreshes, 1u);
+  const MeasureSet fresh = MeasureView::cold_measures(view.ecs(), opts);
+  // MPH/TDH ride on incrementally maintained sums (drift bounded by the
+  // periodic refresh); TMA additionally tolerates the warm-vs-cold Sinkhorn
+  // and eigensolve difference at their 1e-8/1e-9 budgets.
+  EXPECT_NEAR(view.current().mph, fresh.mph, 1e-9);
+  EXPECT_NEAR(view.current().tdh, fresh.tdh, 1e-9);
+  EXPECT_NEAR(view.current().tma, fresh.tma, 1e-6);
+  const auto raw = hetero::etcgen::measure_set_raw(view.ecs());
+  EXPECT_NEAR(view.current().mph, raw.mph, 1e-9);
+  EXPECT_NEAR(view.current().tdh, raw.tdh, 1e-9);
+  EXPECT_NEAR(view.current().tma, raw.tma, 1e-6);
+}
+
+TEST(MeasureViewProposal, RejectRestoresState) {
+  const Matrix seed = chain_seed(6, 4, 7);
+  MeasureView view(seed);
+  const MeasureSet before = view.current();
+  const MeasureView::Stats stats_before = view.stats();
+  const MeasureSet first = propose_one(view, 1, 1, 3.25);
+  EXPECT_EQ(view.ecs()(1, 1), 3.25);
+  view.reject();
+  EXPECT_EQ(view.ecs(), seed);
+  expect_bits_equal(view.current(), before);
+  expect_stats_equal(view.stats(), stats_before);
+  // Re-proposing the identical change must reproduce the evaluation exactly
+  // (the committed warm state was untouched by the reject).
+  expect_bits_equal(propose_one(view, 1, 1, 3.25), first);
+  expect_bits_equal(view.accept(), first);
+  expect_bits_equal(view.current(), first);
+}
+
+TEST(MeasureViewProposal, RejectedColdProposalLeavesWarmStateAlone) {
+  // Spend the update cap, so the next proposal lands on a cold refresh.
+  MeasureViewOptions options;
+  options.error_budget = std::numeric_limits<double>::infinity();
+  options.max_updates_between_refresh = 3;
+  const Matrix seed = chain_seed(6, 4, 17);
+  MeasureView view(seed, options);
+  MeasureView twin(seed, options);
+  for (std::size_t step = 0; step < 3; ++step) {
+    view.set_entry(step, 0, 1.0 + 0.5 * static_cast<double>(step));
+    twin.set_entry(step, 0, 1.0 + 0.5 * static_cast<double>(step));
+  }
+  const Matrix committed = view.ecs();
+  const MeasureSet before = view.current();
+  const MeasureView::Stats stats_before = view.stats();
+  const MeasureSet cold = propose_one(view, 4, 2, 6.5);
+  Matrix candidate = committed;
+  candidate(4, 2) = 6.5;
+  expect_bits_equal(cold,
+                    MeasureView::cold_measures(candidate, options.sinkhorn));
+  view.reject();
+  EXPECT_EQ(view.ecs(), committed);
+  expect_bits_equal(view.current(), before);
+  expect_stats_equal(view.stats(), stats_before);
+  // The cap is still spent, and the warm state is still the committed one:
+  // a follow-up stream matches a twin that never saw the rejected proposal.
+  expect_bits_equal(propose_one(view, 4, 2, 6.5), cold);
+  view.accept();
+  twin.set_entry(4, 2, 6.5);
+  EXPECT_TRUE(view.stats().last_update_cold);
+  for (std::size_t step = 0; step < 5; ++step) {
+    view.set_entry(5, step % 4, 0.75 + static_cast<double>(step));
+    twin.set_entry(5, step % 4, 0.75 + static_cast<double>(step));
+    expect_bits_equal(view.current(), twin.current());
+    expect_stats_equal(view.stats(), twin.stats());
+  }
+}
+
+TEST(MeasureViewProposal, ValidatesProtocolAndInputs) {
+  MeasureView view(chain_seed(4, 3, 3));
+  EXPECT_THROW(view.accept(), hetero::ValueError);  // nothing proposed
+  EXPECT_THROW(view.reject(), hetero::ValueError);
+  EXPECT_THROW(view.propose({}), hetero::ValueError);  // no cells
+  const MeasureSet proposed = propose_one(view, 0, 0, 1.5);
+  const MeasureSet committed = view.current();
+  // Every other mutator refuses while the proposal is open.
+  EXPECT_THROW(propose_one(view, 1, 1, 2.0), hetero::ValueError);
+  EXPECT_THROW(view.set_entry(1, 1, 2.0), hetero::ValueError);
+  EXPECT_THROW(view.set_entries({}), hetero::ValueError);
+  EXPECT_THROW(view.add_task(std::vector<double>{1.0, 2.0, 3.0}),
+               hetero::ValueError);
+  EXPECT_THROW(view.add_machine(std::vector<double>{1.0, 2.0, 3.0, 4.0}),
+               hetero::ValueError);
+  EXPECT_THROW(view.remove_task(0), hetero::ValueError);
+  EXPECT_THROW(view.remove_machine(0), hetero::ValueError);
+  EXPECT_THROW(view.refresh(), hetero::ValueError);
+  // ... and leaves it intact.
+  EXPECT_EQ(view.ecs()(0, 0), 1.5);
+  EXPECT_EQ(view.tasks(), 4u);
+  EXPECT_EQ(view.machines(), 3u);
+  expect_bits_equal(view.current(), committed);
+  expect_bits_equal(view.accept(), proposed);
+
+  EXPECT_THROW(propose_one(view, 4, 0, 1.0), hetero::DimensionError);
+  EXPECT_THROW(propose_one(view, 0, 3, 1.0), hetero::DimensionError);
+  EXPECT_THROW(propose_one(view, 0, 0, 0.0), hetero::ValueError);
+  EXPECT_THROW(propose_one(view, 0, 0, -1.0), hetero::ValueError);
+  EXPECT_THROW(view.accept(), hetero::ValueError);  // nothing was opened
+  EXPECT_EQ(view.stats().version, 1u);
+
+  Matrix zero(2, 2, 1.0);
+  zero(1, 1) = 0.0;
+  EXPECT_THROW(MeasureView bad(zero), hetero::ValueError);
+}
+
+TEST(MeasureViewProposal, AcceptMatchesSetEntries) {
+  // propose+accept and set_entries are one update path: over a seeded
+  // stream that crosses the update cap (and takes the re-sort path for
+  // large batches), both views publish the same bits after every step.
+  MeasureViewOptions options;
+  options.max_updates_between_refresh = 40;
+  options.error_budget = std::numeric_limits<double>::infinity();
+  const Matrix seed = random_ecs(10, 7, 404);
+  MeasureView proposer(seed, options);
+  MeasureView setter(seed, options);
+  hetero::etcgen::Rng rng(405);
+  for (int step = 0; step < 150; ++step) {
+    std::vector<CellDelta> deltas(step % 5 == 0 ? 20 : 1 + step % 3);
+    for (CellDelta& d : deltas) {
+      d.task = hetero::etcgen::uniform_index(rng, 10);
+      d.machine = hetero::etcgen::uniform_index(rng, 7);
+      d.value = hetero::etcgen::uniform(rng, 0.05, 4.0);
+    }
+    if (step % 4 == 3) {
+      // A rejected detour must not perturb the accepted stream.
+      proposer.propose(deltas);
+      proposer.reject();
+    }
+    proposer.propose(deltas);
+    proposer.accept();
+    setter.set_entries(deltas);
+    expect_bits_equal(proposer.current(), setter.current());
+    expect_stats_equal(proposer.stats(), setter.stats());
+  }
+  EXPECT_GE(setter.stats().cold_refreshes, 3u);
+  EXPECT_EQ(proposer.ecs(), setter.ecs());
 }
 
 TEST(EtcEstimator, ExponentialMeanAndMaterialityGate) {

@@ -47,10 +47,12 @@ TEST(BraunSuite, ShapesAndPositivity) {
 
 TEST(BraunSuite, ConsistentCasesAreConsistent) {
   for (const auto& c : eg::braun_suite(small_opts())) {
-    if (c.consistency == eg::Consistency::consistent)
+    if (c.consistency == eg::Consistency::consistent) {
       EXPECT_TRUE(hetero::core::is_consistent(c.etc)) << c.name;
-    if (c.consistency == eg::Consistency::inconsistent)
+    }
+    if (c.consistency == eg::Consistency::inconsistent) {
       EXPECT_FALSE(hetero::core::is_consistent(c.etc)) << c.name;
+    }
   }
 }
 

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <random>
-
 #include "core/measures.hpp"
 
 namespace {
@@ -115,6 +112,27 @@ TEST(GenerateWithMeasures, ParallelRestartsMatchQuality) {
   EXPECT_LE(result.error, 0.02);
 }
 
+TEST(GenerateWithMeasures, PoolDoesNotChangeResult) {
+  // Each restart owns its evaluator and seed, so running the restarts
+  // serially or on pools of any size must give the same bits.
+  eg::TargetGenOptions opts;
+  opts.tasks = 6;
+  opts.machines = 4;
+  opts.seed = 11;
+  opts.anneal_iterations = 3000;
+  opts.restarts = 4;
+  opts.tolerance = 0.02;
+  const eg::TargetMeasures target{0.6, 0.8, 0.2};
+  const auto serial = eg::generate_with_measures(target, opts);
+  for (std::size_t threads : {2u, 4u}) {
+    hetero::par::ThreadPool pool(threads);
+    opts.pool = &pool;
+    const auto pooled = eg::generate_with_measures(target, opts);
+    EXPECT_EQ(pooled.ecs.values(), serial.ecs.values()) << threads;
+    EXPECT_EQ(pooled.error, serial.error) << threads;
+  }
+}
+
 TEST(GenerateWithMeasures, UnreachableTargetThrows) {
   eg::TargetGenOptions opts;
   opts.tasks = 2;
@@ -124,88 +142,6 @@ TEST(GenerateWithMeasures, UnreachableTargetThrows) {
   opts.tolerance = 1e-9;         // unreachably tight
   EXPECT_THROW(eg::generate_with_measures({0.33, 0.77, 0.41}, opts),
                ConvergenceError);
-}
-
-// ---- Incremental proposal-chain evaluator ----
-
-hetero::linalg::Matrix chain_seed(std::size_t rows, std::size_t cols,
-                                  unsigned seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> dist(0.2, 8.0);
-  hetero::linalg::Matrix m(rows, cols);
-  for (double& x : m.data()) x = dist(rng);
-  return m;
-}
-
-TEST(IncrementalMeasures, MatchesFreshRecomputeAfterLongChain) {
-  // Drive the evaluator through enough commits to cross the automatic
-  // rebuild interval, with a mix of accepts and rejects, then compare the
-  // maintained state against a cold evaluation of the final matrix.
-  hetero::core::SinkhornOptions opts;
-  opts.tolerance = 1e-9;
-  opts.max_iterations = 500;
-  eg::IncrementalMeasures inc(chain_seed(9, 6, 1234), opts);
-  std::mt19937 rng(99);
-  std::uniform_int_distribution<std::size_t> pick(0, 9 * 6 - 1);
-  std::uniform_real_distribution<double> step(-0.3, 0.3);
-  for (int p = 0; p < 600; ++p) {
-    const std::size_t k = pick(rng);
-    const double value = inc.matrix().data()[k] * std::exp(step(rng));
-    inc.propose(k, value);
-    if (p % 3 != 0)
-      inc.accept();
-    else
-      inc.reject();
-  }
-  eg::IncrementalMeasures fresh(inc.matrix(), opts);
-  // MPH/TDH ride on incrementally maintained sums (drift bounded by the
-  // periodic rebuild); TMA additionally tolerates the warm-vs-cold Sinkhorn
-  // and eigensolve difference at their 1e-8/1e-9 budgets.
-  EXPECT_NEAR(inc.current().mph, fresh.current().mph, 1e-9);
-  EXPECT_NEAR(inc.current().tdh, fresh.current().tdh, 1e-9);
-  EXPECT_NEAR(inc.current().tma, fresh.current().tma, 1e-6);
-  const auto raw = eg::measure_set_raw(inc.matrix());
-  EXPECT_NEAR(inc.current().mph, raw.mph, 1e-9);
-  EXPECT_NEAR(inc.current().tdh, raw.tdh, 1e-9);
-  EXPECT_NEAR(inc.current().tma, raw.tma, 1e-6);
-}
-
-TEST(IncrementalMeasures, RejectRestoresState) {
-  const auto seed = chain_seed(6, 4, 7);
-  eg::IncrementalMeasures inc(seed);
-  const auto before = inc.current();
-  const auto first = inc.propose(5, 3.25);
-  const double first_mph = first.mph, first_tdh = first.tdh,
-               first_tma = first.tma;
-  inc.reject();
-  EXPECT_EQ(inc.matrix(), seed);
-  EXPECT_EQ(inc.current().mph, before.mph);
-  EXPECT_EQ(inc.current().tdh, before.tdh);
-  EXPECT_EQ(inc.current().tma, before.tma);
-  // Re-proposing the identical change must reproduce the evaluation exactly
-  // (the committed warm state was untouched by the reject).
-  const auto second = inc.propose(5, 3.25);
-  EXPECT_EQ(second.mph, first_mph);
-  EXPECT_EQ(second.tdh, first_tdh);
-  EXPECT_EQ(second.tma, first_tma);
-  inc.accept();
-}
-
-TEST(IncrementalMeasures, ValidatesProtocolAndInputs) {
-  eg::IncrementalMeasures inc(chain_seed(4, 3, 3));
-  EXPECT_THROW(inc.accept(), ValueError);  // nothing proposed
-  EXPECT_THROW(inc.reject(), ValueError);
-  inc.propose(0, 1.5);
-  EXPECT_THROW(inc.propose(1, 2.0), ValueError);  // outstanding proposal
-  EXPECT_THROW(inc.rebuild(), ValueError);
-  inc.reject();
-  EXPECT_THROW(inc.propose(12, 1.0), hetero::DimensionError);
-  EXPECT_THROW(inc.propose(0, 0.0), ValueError);
-  EXPECT_THROW(inc.propose(0, -1.0), ValueError);
-
-  hetero::linalg::Matrix zero(2, 2, 1.0);
-  zero(1, 1) = 0.0;
-  EXPECT_THROW(eg::IncrementalMeasures bad(zero), ValueError);
 }
 
 TEST(SearchSinkhornOptions, ClampsTwoOrdersBelowGeneratorTolerance) {
