@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "etcgen/range_based.hpp"
+#include "etcgen/rng.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sched/evolutionary.hpp"
 #include "sched/heuristics.hpp"
@@ -56,6 +57,31 @@ BENCHMARK(BM_SufferageReference)
     ->Args({64, 8})
     ->Args({256, 8})
     ->Args({512, 16});
+
+// Typed batches: T tasks drawn (seeded) from a handful of task types, as
+// in the ETC model's task-type rows and the simulator's task classes. The
+// engine plans one group per type here, where the one-of-each benches
+// above plan T singleton groups.
+template <sc::Assignment (*Map)(const EtcMatrix&, const sc::TaskList&)>
+void BM_BatchTyped(benchmark::State& state) {
+  const auto etc = env(static_cast<std::size_t>(state.range(1)),
+                       static_cast<std::size_t>(state.range(2)));
+  hetero::etcgen::Rng rng = hetero::etcgen::make_rng(7);
+  sc::TaskList tasks(static_cast<std::size_t>(state.range(0)));
+  for (auto& t : tasks) t = hetero::etcgen::uniform_index(rng, etc.task_count());
+  for (auto _ : state) benchmark::DoNotOptimize(Map(etc, tasks).data());
+}
+
+void BM_MinMinTyped(benchmark::State& s) { BM_BatchTyped<sc::map_min_min>(s); }
+void BM_MaxMinTyped(benchmark::State& s) { BM_BatchTyped<sc::map_max_min>(s); }
+void BM_SufferageTyped(benchmark::State& s) {
+  BM_BatchTyped<sc::map_sufferage>(s);
+}
+
+// Args: tasks, types, machines.
+BENCHMARK(BM_MinMinTyped)->Args({512, 4, 16});
+BENCHMARK(BM_MaxMinTyped)->Args({512, 4, 16});
+BENCHMARK(BM_SufferageTyped)->Args({512, 4, 16});
 
 void BM_Mct(benchmark::State& state) {
   const auto etc = env(static_cast<std::size_t>(state.range(0)), 8);

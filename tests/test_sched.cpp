@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "etcgen/range_based.hpp"
+#include "etcgen/rng.hpp"
 #include "etcgen/suite.hpp"
+#include "sched/batch_engine.hpp"
 #include "sched/makespan.hpp"
 
 namespace {
@@ -265,6 +271,198 @@ TEST(BatchEquivalence, RepeatedInstancesAndDuplexAgree) {
   for (std::size_t k = 0; k < 60; ++k) tasks.push_back(k % etc.task_count());
   for (const auto& p : kBatchPairs)
     EXPECT_EQ(p.fast(etc, tasks), p.reference(etc, tasks)) << p.name;
+}
+
+// ---------------------------------------------------------------------------
+// BatchEngine epoch interface: the per-type cache and its invalidation. A
+// seeded script of add_slot / remove_slot / begin_epoch / plan must commit
+// exactly what a cold O(U^2 M) replan of the registered slots, in
+// registration order, commits against the same ready vector.
+
+using Commits = std::vector<std::pair<std::size_t, std::size_t>>;
+
+Commits cold_replan(const EtcMatrix& etc, sc::BatchPolicy policy,
+                    const std::vector<std::pair<std::size_t, std::size_t>>&
+                        slots,  // (slot, type) in registration order
+                    std::vector<double> ready) {
+  Commits out;
+  std::vector<char> planned(slots.size(), 0);
+  for (std::size_t round = 0; round < slots.size(); ++round) {
+    double best_priority = -kInf;
+    std::size_t chosen = 0, chosen_j = 0;
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      if (planned[k]) continue;
+      const std::size_t t = slots[k].second;
+      double best = kInf, second = kInf;
+      std::size_t best_j = 0;
+      for (std::size_t j = 0; j < etc.machine_count(); ++j) {
+        const double ct = ready[j] + etc(t, j);
+        if (ct < best) {
+          second = best;
+          best = ct;
+          best_j = j;
+        } else if (ct < second) {
+          second = ct;
+        }
+      }
+      double p = best;
+      if (policy == sc::BatchPolicy::min_min) p = -best;
+      if (policy == sc::BatchPolicy::sufferage)
+        p = std::isinf(second) ? kInf : second - best;
+      if (p > best_priority) {
+        best_priority = p;
+        chosen = k;
+        chosen_j = best_j;
+      }
+    }
+    planned[chosen] = 1;
+    out.emplace_back(slots[chosen].first, chosen_j);
+    ready[chosen_j] += etc(slots[chosen].second, chosen_j);
+  }
+  return out;
+}
+
+// Small-integer entries (massive completion-time ties) with scattered
+// cannot-run entries; every row keeps at least one capable machine.
+EtcMatrix tie_etc(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  hetero::etcgen::Rng rng = hetero::etcgen::make_rng(seed);
+  Matrix m(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      m(i, j) = static_cast<double>(1 + hetero::etcgen::uniform_index(rng, 4));
+      if (j > 0 && hetero::etcgen::uniform_index(rng, 6) == 0) m(i, j) = kInf;
+    }
+  }
+  return EtcMatrix(m);
+}
+
+struct EpochScriptStats {
+  std::size_t plans = 0, rebuilds = 0, type_returns = 0;
+};
+
+// Runs one seeded script; `distinct` gives slot s the fixed type s (every
+// group a singleton), otherwise each registration draws one of the types.
+EpochScriptStats run_epoch_script(const EtcMatrix& etc,
+                                  sc::BatchPolicy policy, bool distinct,
+                                  std::uint64_t seed) {
+  namespace eg = hetero::etcgen;
+  eg::Rng rng = eg::make_rng(seed);
+  constexpr std::size_t kSlots = 24;
+  const std::size_t types = etc.task_count();
+  const std::size_t machines = etc.machine_count();
+  sc::BatchEngine engine(etc, policy);
+  std::vector<std::pair<std::size_t, std::size_t>> registered;
+  std::vector<double> ready(machines, 0.0);
+  // A type's active count dropped to 0 after it was planned; it counts as
+  // returned when a later plan covers it again.
+  std::vector<char> planned_type(types, 0), dropped(types, 0);
+  EpochScriptStats stats;
+
+  const auto count_of = [&](std::size_t t) {
+    return std::count_if(registered.begin(), registered.end(),
+                         [t](const auto& r) { return r.second == t; });
+  };
+
+  for (int op = 0; op < 600; ++op) {
+    const std::size_t roll = eg::uniform_index(rng, 20);
+    if (roll < 8 && registered.size() < kSlots) {
+      std::size_t slot = eg::uniform_index(rng, kSlots);
+      while (std::any_of(registered.begin(), registered.end(),
+                         [slot](const auto& r) { return r.first == slot; }))
+        slot = (slot + 1) % kSlots;
+      const std::size_t t = distinct ? slot : eg::uniform_index(rng, types);
+      engine.add_slot(slot, t);
+      registered.emplace_back(slot, t);
+    } else if (roll < 13 && !registered.empty()) {
+      const std::size_t at = eg::uniform_index(rng, registered.size());
+      const std::size_t t = registered[at].second;
+      engine.remove_slot(registered[at].first);
+      registered.erase(registered.begin() + static_cast<std::ptrdiff_t>(at));
+      if (count_of(t) == 0 && planned_type[t]) dropped[t] = 1;
+    } else if (!registered.empty()) {
+      // Mostly non-decreasing ready times with small-integer steps (ties);
+      // now and then a decrease forces the full rebuild.
+      if (eg::uniform_index(rng, 12) == 0) {
+        ready[eg::uniform_index(rng, machines)] -= 1.0;
+        ++stats.rebuilds;
+      }
+      for (double& r : ready)
+        if (eg::uniform_index(rng, 2) == 0)
+          r += static_cast<double>(eg::uniform_index(rng, 4));
+      engine.begin_epoch(ready);
+      Commits got;
+      engine.plan([&got](std::size_t s, std::size_t j) {
+        got.emplace_back(s, j);
+      });
+      EXPECT_EQ(got, cold_replan(etc, policy, registered, ready))
+          << "op " << op << " seed " << seed;
+      if (eg::uniform_index(rng, 8) == 0) {
+        // A repeated plan() in the same epoch starts from the same base.
+        Commits again;
+        engine.plan([&again](std::size_t s, std::size_t j) {
+          again.emplace_back(s, j);
+        });
+        EXPECT_EQ(again, got) << "replan, op " << op;
+      }
+      ++stats.plans;
+      for (const auto& r : registered) {
+        if (dropped[r.second]) ++stats.type_returns;
+        dropped[r.second] = 0;
+        planned_type[r.second] = 1;
+      }
+    }
+    EXPECT_EQ(engine.active_count(), registered.size());
+  }
+  return stats;
+}
+
+TEST(BatchEngineEpochs, MatchColdReplanUnderRandomEpochs) {
+  const EtcMatrix typed = tie_etc(3, 5, 11);
+  const EtcMatrix distinct = tie_etc(24, 5, 12);
+  for (const sc::BatchPolicy policy :
+       {sc::BatchPolicy::min_min, sc::BatchPolicy::max_min,
+        sc::BatchPolicy::sufferage}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const EpochScriptStats t = run_epoch_script(typed, policy, false, seed);
+      const EpochScriptStats d =
+          run_epoch_script(distinct, policy, true, seed + 100);
+      // The scripts must reach the paths they exist for.
+      EXPECT_GT(t.plans, 50u);
+      EXPECT_GT(d.plans, 50u);
+      EXPECT_GT(t.rebuilds + d.rebuilds, 0u);
+      EXPECT_GT(t.type_returns, 0u);
+      EXPECT_GT(d.type_returns, 0u);
+    }
+  }
+}
+
+TEST(BatchEngineRegistry, RejectsDuplicateAndUnknownSlots) {
+  const EtcMatrix etc = simple();
+  sc::BatchEngine engine(etc, sc::BatchPolicy::min_min);
+  engine.add_slot(3, 0);
+  engine.add_slot(1, 2);
+  // A second registration of an active slot would plan it twice.
+  EXPECT_THROW(engine.add_slot(3, 1), ValueError);
+  EXPECT_EQ(engine.active_count(), 2u);
+  EXPECT_THROW(engine.remove_slot(2), ValueError);   // in range, unknown
+  EXPECT_THROW(engine.remove_slot(99), ValueError);  // out of range
+  EXPECT_THROW(engine.add_slot(4, 3), DimensionError);
+
+  engine.begin_epoch({0.0, 0.0});
+  Commits got;
+  engine.plan([&got](std::size_t s, std::size_t j) { got.emplace_back(s, j); });
+  EXPECT_EQ(got, (Commits{{1, 1}, {3, 1}}));
+
+  engine.remove_slot(3);
+  EXPECT_THROW(engine.remove_slot(3), ValueError);
+  engine.add_slot(3, 1);  // a removed slot may register again
+  EXPECT_EQ(engine.active_count(), 2u);
+  // Type 1 has no cached decision until the next epoch starts.
+  EXPECT_THROW(engine.plan([](std::size_t, std::size_t) {}), ValueError);
+  engine.begin_epoch({0.0, 0.0});
+  got.clear();
+  engine.plan([&got](std::size_t s, std::size_t j) { got.emplace_back(s, j); });
+  EXPECT_EQ(got, (Commits{{1, 1}, {3, 1}}));
 }
 
 // ---------------------------------------------------------------------------

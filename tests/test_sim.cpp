@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -215,6 +217,38 @@ TEST(SimEquiv, BatchEngineAdaptersMatchColdTwins) {
                       run_once(s, "batch_max_min", options), tag);
     }
   }
+}
+
+// Recorded bits across commits: an FNV-1a 64 digest of every run's
+// trace_hash and total_energy_j bits, over every shipped scenario x the
+// five scheduler tokens x {plain, power gating + DVFS + migration}. The
+// twins above only compare runs within one build; this pins the traces
+// themselves, so a planner rewrite that changes any commit, tie-break or
+// energy bit fails here even if the cold and warm twins drift together.
+TEST(SimGolden, SchedulerRunsMatchRecordedHashes) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto add = [&digest](std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      digest ^= (x >> (8 * b)) & 0xffu;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  const SimOptions plain;
+  const SimOptions dynamic{.power_gating = true, .dvfs = true,
+                           .migration = true};
+  for (const std::string& path : scenario_files()) {
+    const Scenario s = hetero::sim::load_scenario(path);
+    for (const char* token : {"greedy_mct", "min_min", "max_min",
+                              "batch_min_min", "batch_max_min"}) {
+      for (const SimOptions& options : {plain, dynamic}) {
+        const SimReport r = run_once(s, token, options);
+        ASSERT_EQ(r.completed, r.tasks) << path << " / " << token;
+        add(r.trace_hash);
+        add(std::bit_cast<std::uint64_t>(r.total_energy_j));
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0xf3c437a76f564a95ULL) << std::hex << "digest 0x" << digest;
 }
 
 TEST(SimEquiv, ThreadCountDoesNotChangeResults) {
