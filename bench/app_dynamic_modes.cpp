@@ -1,18 +1,21 @@
 // Application study: immediate-mode vs batch-mode dynamic mapping across
 // heterogeneity regimes. Extends the paper's application (b) from static
 // batches to arrival-driven workloads: the measures predict when
-// sophisticated (batch) mapping pays off.
+// sophisticated (batch) mapping pays off. Each generated ETC runs on
+// sim::Engine through scenario_from_etc, with explicit Poisson arrivals.
 #include <iostream>
 
 #include "core/measures.hpp"
 #include "etcgen/range_based.hpp"
 #include "io/table.hpp"
-#include "sched/dynamic.hpp"
+#include "sim/engine.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/workload.hpp"
 
 int main() {
   using hetero::io::format_fixed;
   namespace eg = hetero::etcgen;
-  namespace sc = hetero::sched;
+  namespace sim = hetero::sim;
 
   std::cout << "Immediate vs batch dynamic mapping by heterogeneity regime\n"
                "(8 task types x 4 machines, 80 Poisson arrivals, mean flow "
@@ -53,29 +56,24 @@ int main() {
       mean_best += best;
     }
     mean_best /= static_cast<double>(etc.task_count());
-    const double rate =
+    sim::WorkloadOptions workload;
+    workload.base_rate =
         0.7 * static_cast<double>(etc.machine_count()) / mean_best;
-    const auto arrivals = sc::poisson_arrivals(etc, rate, 80, rng);
+    const auto arrivals = sim::generate_workload(etc, workload, 80, rng);
 
-    const double olb =
-        sc::simulate_immediate(etc, arrivals, sc::ImmediateMode::olb)
-            .mean_flow_time;
-    const auto norm = [&](double v) { return format_fixed(v / olb, 3); };
-    t.add_row(
-        {regime.name, format_fixed(m.mph, 2), format_fixed(m.tma, 2), "1.000",
-         norm(sc::simulate_immediate(etc, arrivals, sc::ImmediateMode::met)
-                  .mean_flow_time),
-         norm(sc::simulate_immediate(etc, arrivals, sc::ImmediateMode::mct)
-                  .mean_flow_time),
-         norm(sc::simulate_immediate(etc, arrivals, sc::ImmediateMode::kpb)
-                  .mean_flow_time),
-         norm(sc::simulate_immediate(etc, arrivals,
-                                     sc::ImmediateMode::switching)
-                  .mean_flow_time),
-         norm(sc::simulate_batch_min_min(etc, arrivals).mean_flow_time),
-         norm(sc::simulate_batch(etc, arrivals,
-                                 sc::BatchHeuristic::sufferage)
-                  .mean_flow_time)});
+    const sim::Scenario scenario = sim::scenario_from_etc(etc);
+    const auto mean_flow = [&](const char* token) {
+      sim::Engine engine(scenario, arrivals, {.tick_period = 0.0});
+      return engine.run(*sim::make_scheduler(token)).mean_flow_time;
+    };
+    const double olb = mean_flow("olb");
+    const auto norm = [&](const char* token) {
+      return format_fixed(mean_flow(token) / olb, 3);
+    };
+    t.add_row({regime.name, format_fixed(m.mph, 2), format_fixed(m.tma, 2),
+               "1.000", norm("met"), norm("greedy_mct"), norm("kpb"),
+               norm("switching"), norm("batch_min_min"),
+               norm("batch_sufferage")});
   }
   t.print(std::cout);
   std::cout << "\nExpected shape: in homogeneous regimes OLB is already "

@@ -3,19 +3,22 @@
 // three arrival processes (steady, diurnal, bursty) and reports mean flow
 // time for availability-blind MET vs completion-time MCT vs batch Min-Min.
 // Bursts are where mapping quality matters most: backlog forms and the
-// gap between policies widens.
+// gap between policies widens. Each environment runs on sim::Engine
+// through scenario_from_etc, with the workload model's arrivals.
 #include <iostream>
 
 #include "core/measures.hpp"
 #include "etcgen/target_measures.hpp"
 #include "io/table.hpp"
 #include "parallel/thread_pool.hpp"
-#include "sched/workload.hpp"
+#include "sim/engine.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/workload.hpp"
 
 int main() {
   using hetero::io::format_fixed;
   namespace eg = hetero::etcgen;
-  namespace sc = hetero::sched;
+  namespace sim = hetero::sim;
 
   hetero::par::ThreadPool pool;
   const auto make_env = [&](double mph, double tma, std::uint64_t seed) {
@@ -58,11 +61,12 @@ int main() {
     const double rate =
         0.6 * static_cast<double>(env.etc.machine_count()) / mean_best;
 
+    const sim::Scenario scenario = sim::scenario_from_etc(env.etc);
     for (const auto& [label, shape] :
-         {std::pair{"steady", sc::RateShape::constant},
-          std::pair{"diurnal", sc::RateShape::diurnal},
-          std::pair{"bursty", sc::RateShape::bursty}}) {
-      sc::WorkloadOptions w;
+         {std::pair{"steady", sim::RateShape::constant},
+          std::pair{"diurnal", sim::RateShape::diurnal},
+          std::pair{"bursty", sim::RateShape::bursty}}) {
+      sim::WorkloadOptions w;
       w.base_rate = rate;
       w.shape = shape;
       w.diurnal_amplitude = 0.8;
@@ -70,21 +74,14 @@ int main() {
       w.burst_factor = 6.0;
       w.mean_normal_duration = 30.0 * mean_best;
       w.mean_burst_duration = 5.0 * mean_best;
-      const auto arrivals = sc::generate_workload(env.etc, w, 200, rng);
-
-      t.add_row(
-          {env.name, label,
-           format_fixed(sc::simulate_immediate(env.etc, arrivals,
-                                               sc::ImmediateMode::met)
-                            .mean_flow_time,
-                        0),
-           format_fixed(sc::simulate_immediate(env.etc, arrivals,
-                                               sc::ImmediateMode::mct)
-                            .mean_flow_time,
-                        0),
-           format_fixed(sc::simulate_batch_min_min(env.etc, arrivals)
-                            .mean_flow_time,
-                        0)});
+      const auto arrivals = sim::generate_workload(env.etc, w, 200, rng);
+      const auto mean_flow = [&](const char* token) {
+        sim::Engine engine(scenario, arrivals, {.tick_period = 0.0});
+        return format_fixed(
+            engine.run(*sim::make_scheduler(token)).mean_flow_time, 0);
+      };
+      t.add_row({env.name, label, mean_flow("met"), mean_flow("greedy_mct"),
+                 mean_flow("batch_min_min")});
     }
   }
   t.print(std::cout);

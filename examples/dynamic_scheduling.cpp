@@ -1,44 +1,46 @@
-// Example: drive the dynamic (arrival-based) simulator on the SPEC CINT
+// Example: drive the arrival simulator (sim::Engine) on the SPEC CINT
 // environment and inspect how mapping policy affects flow time — then use
 // the affinity-mode analysis to explain *why* the smart policies win.
 #include <iostream>
 
 #include "core/svd_analysis.hpp"
 #include "io/table.hpp"
-#include "sched/dynamic.hpp"
+#include "sim/engine.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/workload.hpp"
 #include "spec/spec_data.hpp"
 
 int main() {
   using hetero::io::format_fixed;
-  namespace sc = hetero::sched;
+  namespace sim = hetero::sim;
 
   const auto& etc = hetero::spec::spec_cint2006rate();
   hetero::etcgen::Rng rng = hetero::etcgen::make_rng(99);
 
   // Load the five machines at ~70% of aggregate service capacity.
-  const double rate = 5.0 * 0.7 / 500.0;  // runtimes are a few hundred sec
-  const auto arrivals = sc::poisson_arrivals(etc, rate, 200, rng);
+  sim::WorkloadOptions workload;
+  workload.base_rate = 5.0 * 0.7 / 500.0;  // runtimes are a few hundred sec
+  const auto arrivals = sim::generate_workload(etc, workload, 200, rng);
   std::cout << "200 Poisson arrivals over the SPEC CINT machines ("
             << format_fixed(arrivals.back().time, 0) << " s horizon)\n\n";
 
+  // One 1-core machine per SPEC column, running the ETC exactly (seconds).
+  const sim::Scenario scenario = sim::scenario_from_etc(etc);
   hetero::io::Table t({"policy", "makespan (s)", "mean flow (s)",
                        "max flow (s)"});
-  const auto add = [&](const char* name, const sc::DynamicResult& r) {
-    t.add_row({name, format_fixed(r.makespan, 0),
+  const auto add = [&](const char* name, const char* token) {
+    sim::Engine engine(scenario, arrivals, {.tick_period = 0.0});
+    const sim::SimReport r = engine.run(*sim::make_scheduler(token));
+    t.add_row({name, format_fixed(r.end_time, 0),
                format_fixed(r.mean_flow_time, 0),
                format_fixed(r.max_flow_time, 0)});
   };
-  add("OLB (availability only)",
-      sc::simulate_immediate(etc, arrivals, sc::ImmediateMode::olb));
-  add("MET (speed only)",
-      sc::simulate_immediate(etc, arrivals, sc::ImmediateMode::met));
-  add("MCT (completion time)",
-      sc::simulate_immediate(etc, arrivals, sc::ImmediateMode::mct));
-  add("KPB 50%",
-      sc::simulate_immediate(etc, arrivals, sc::ImmediateMode::kpb));
-  add("batch Min-Min", sc::simulate_batch_min_min(etc, arrivals));
-  add("batch Sufferage",
-      sc::simulate_batch(etc, arrivals, sc::BatchHeuristic::sufferage));
+  add("OLB (availability only)", "olb");
+  add("MET (speed only)", "met");
+  add("MCT (completion time)", "greedy_mct");
+  add("KPB 50%", "kpb");
+  add("batch Min-Min", "batch_min_min");
+  add("batch Sufferage", "batch_sufferage");
   t.print(std::cout);
 
   // Why do execution-time-aware policies matter here? The affinity modes

@@ -150,7 +150,7 @@ void BatchEngine::begin_epoch(const std::vector<double>& base_ready) {
   detail::require_dims(base_ready.size() == etc_.machine_count(),
                        "BatchEngine: ready vector size mismatch");
   // Diff against the previous epoch's base. Ready times are non-decreasing
-  // in the dynamic simulator; a decrease (API misuse or a reset) falls back
+  // in the simulator; a decrease (API misuse or a reset) falls back
   // to a full rebuild, which is always correct.
   changed_.clear();
   bool rebuild = !have_epoch_;

@@ -1,5 +1,5 @@
 // Incremental batch-mode mapping engine shared by the static heuristics
-// (Min-Min, Max-Min, Sufferage) and the dynamic batch-mode simulator.
+// (Min-Min, Max-Min, Sufferage) and the simulator's batch schedulers.
 //
 // The classic batch-mode greedy re-evaluates every unmapped task against
 // every machine in every round — O(T^2 * M). In the ETC model a row is a
@@ -14,8 +14,8 @@
 // cost drops toward O(T + G^2 + R*M) for G groups. Cached values come
 // from the same left-to-right strict-minimum scan the reference
 // implementations use, so assignments — including every tie-break — are
-// bit-identical to the O(T^2 * M) twins retained in heuristics.cpp and
-// dynamic.cpp (asserted by the `sched_equiv` test label).
+// bit-identical to the O(T^2 * M) twins in heuristics.cpp and
+// sim/schedulers.cpp (asserted by the sched_equiv and sim_equiv labels).
 //
 // Why the tie-break survives grouping: the reference picks the first
 // unplanned slot, in registration order, attaining the maximum priority.
@@ -36,7 +36,7 @@
 // rescan is always exact.
 //
 // The epoch interface extends the same invariant across the events of the
-// dynamic simulator: begin_epoch() diffs the new base ready vector against
+// arrival simulator: begin_epoch() diffs the new base ready vector against
 // the previous epoch's and rescans, once per type with active slots, only
 // types whose cached epoch-start entry involves a changed machine, so
 // successive remaps warm-start from the previous epoch instead of running
@@ -69,14 +69,14 @@ class BatchEngine {
   /// start at zero. Bit-identical to the reference batch_mode greedy.
   Assignment map_static(const TaskList& tasks);
 
-  // --- incremental epoch interface (dynamic batch-mode simulation) ---
+  // --- incremental epoch interface (arrival-driven batch mode) ---
 
-  /// Registers a task slot (dynamic: an arrival index). Slots are scanned
+  /// Registers a task slot (simulator: a task id). Slots are scanned
   /// in registration order, matching the reference's pending-queue order.
   /// Throws ValueError if the slot is already registered.
   void add_slot(std::size_t slot, std::size_t type);
 
-  /// Unregisters a slot (dynamic: the task started executing). Throws
+  /// Unregisters a slot (simulator: the task started executing). Throws
   /// ValueError if the slot is not registered.
   void remove_slot(std::size_t slot);
 
@@ -92,7 +92,7 @@ class BatchEngine {
 
   /// Greedily commits every active slot against the epoch's ready vector,
   /// invoking commit(slot, machine) in commit order. Slots stay registered
-  /// (the dynamic simulator re-plans them until they start). Requires
+  /// (the simulator re-plans them until they start). Requires
   /// begin_epoch() first, with no slot of a new type registered since.
   void plan(const std::function<void(std::size_t, std::size_t)>& commit);
 

@@ -45,10 +45,24 @@ double SimReport::overall_violation_rate() const {
 }
 
 Engine::Engine(const Scenario& scenario, SimOptions options)
+    : Engine(scenario, generate_arrivals(scenario, options.max_arrivals),
+             options) {}
+
+Engine::Engine(const Scenario& scenario, std::vector<SimArrival> arrivals,
+               SimOptions options)
     : scenario_(scenario),
       options_(options),
       etc_(instance_etc(scenario)),
-      arrivals_(generate_arrivals(scenario, options.max_arrivals)) {
+      arrivals_(std::move(arrivals)) {
+  double previous = 0.0;
+  for (const SimArrival& a : arrivals_) {
+    detail::require_value(
+        std::isfinite(a.time) && a.time >= previous &&
+            a.task_class < scenario.task_classes.size(),
+        "Engine: arrivals need finite, non-decreasing times >= 0 and task "
+        "classes in range");
+    previous = a.time;
+  }
   detail::require_value(
       options_.tick_period >= 0.0 && std::isfinite(options_.tick_period),
       "Engine: tick_period must be finite and >= 0");
@@ -105,10 +119,6 @@ void Engine::accrue(Machine& m) {
     if (m.power == PowerState::asleep) m.asleep_s += dt / kUsPerSecond;
   }
   m.last_accrual = now_;
-}
-
-double Engine::rate_of(const Machine& m) const {
-  return m.spec->mips[m.p];
 }
 
 // ---------------------------------------------------------------------------
@@ -192,14 +202,15 @@ void Engine::set_p_state(std::size_t machine, std::size_t p) {
                         "set_p_state: machine is not awake");
   if (p == m.p) return;
   accrue(m);
-  const double old_rate = rate_of(m);
+  const double old_mips = m.spec->mips[m.p];
   m.p = p;
   // Accrue in-flight progress at the old rate, then reschedule each
   // running task's completion at the new one.
   for (const std::uint32_t tid : m.running) {
     Task& t = tasks_[tid];
+    const double rate = old_mips / scenario_.multiplier(t.cls, m.cls);
     t.work_left =
-        std::max(0.0, t.work_left - (now_ - t.progress_mark) * old_rate);
+        std::max(0.0, t.work_left - (now_ - t.progress_mark) * rate);
     schedule_completion(tid);
   }
   ++report_.p_state_changes;
@@ -214,7 +225,11 @@ void Engine::schedule_completion(std::uint32_t task_id) {
   Task& t = tasks_[task_id];
   const Machine& m = machines_[t.machine];
   t.progress_mark = now_;
-  t.eta = now_ + t.work_left / rate_of(m);
+  // The multiplier applies last, as in the ETC: a unit multiplier keeps
+  // the MIPS-only instant bit-identical, and an imported ETC entry E runs
+  // exactly E (1000 / 1000 * E), which 1000 * E / 1000 need not be.
+  t.eta = now_ + t.work_left / m.spec->mips[m.p] *
+                     scenario_.multiplier(t.cls, m.cls);
   ++t.gen;
   push_event(t.eta, EventKind::completion, task_id, t.gen);
 }
@@ -547,8 +562,10 @@ bool Engine::migrate(std::size_t task, std::size_t machine) {
                         "migrate: target cannot run this task");
   Machine& src = machines_[t.machine];
   accrue(src);
+  const double rate =
+      src.spec->mips[src.p] / scenario_.multiplier(t.cls, src.cls);
   t.work_left =
-      std::max(0.0, t.work_left - (now_ - t.progress_mark) * rate_of(src));
+      std::max(0.0, t.work_left - (now_ - t.progress_mark) * rate);
   --src.busy;
   src.mem_free += scenario_.task_classes[t.cls].memory_mb;
   src.running.erase(std::find(src.running.begin(), src.running.end(),

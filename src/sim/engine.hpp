@@ -1,7 +1,8 @@
 // Deterministic discrete-event datacenter simulator.
 //
 // The engine instantiates a Scenario (sim/scenario.hpp) into machine
-// instances and a merged arrival stream, then processes a typed event
+// instances and a merged arrival stream (or takes an explicit arrival
+// list — a workload model's or a trace's), then processes a typed event
 // queue — task arrival, task completion, power-state transition
 // complete, migration landing, periodic scheduler tick — in strict
 // (time, insertion-sequence) order, so a run is a pure function of
@@ -12,9 +13,11 @@
 // (awake, transitioning, or asleep at an S-state depth), a machine-wide
 // P-state, a core pool, and a memory pool. Tasks occupy one core and
 // their memory footprint while running and progress at the machine's
-// current per-P-state MIPS; changing the P-state (or migrating) accrues
-// the progress made so far and reschedules the completion event at the
-// new rate. Energy integrates electrical power over state residency:
+// current per-P-state MIPS divided by the scenario's runtime multiplier
+// for the (task class, machine class) pair; changing the P-state (or
+// migrating) accrues the progress made so far and reschedules the
+// completion event at the new rate. Energy integrates electrical power
+// over state residency:
 //
 //   awake:        P = S[0] + busy * Pstate[p] + (cores - busy) * C[idle]
 //   transitioning:P = S[0]               (sleep<->wake, cores quiesced)
@@ -146,7 +149,14 @@ struct SimReport {
 /// construct per run. The scenario must outlive the engine.
 class Engine {
  public:
+  /// Simulates the scenario's own arrival streams (generate_arrivals).
   Engine(const Scenario& scenario, SimOptions options = {});
+
+  /// Simulates an explicit arrival list instead. Times must be finite,
+  /// >= 0 and non-decreasing (ids follow list order) and every task
+  /// class in range; anything else throws ValueError.
+  Engine(const Scenario& scenario, std::vector<SimArrival> arrivals,
+         SimOptions options = {});
 
   /// Runs the simulation to completion and returns the report. One-shot:
   /// a second call throws.
@@ -293,8 +303,6 @@ class Engine {
   // Integrates power into energy up to `now_` (call before any state
   // change that alters power_draw).
   void accrue(Machine& m);
-  // Per-core execution rate (instruction units per us) at P-state p.
-  double rate_of(const Machine& m) const;
 
   void trace(TraceKind kind, std::uint32_t a, std::uint32_t b);
   void push_event(double time, EventKind kind, std::uint32_t id,

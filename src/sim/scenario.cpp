@@ -287,6 +287,36 @@ void finish_task(const BlockCursor& cur, TaskClass& tc) {
   }
 }
 
+// The multiplier table is empty or task classes x machine classes, with
+// every entry > 0 (+infinity allowed, NaN not).
+void check_multipliers(const Scenario& scenario) {
+  const linalg::Matrix& mult = scenario.runtime_multiplier;
+  if (mult.empty()) return;
+  detail::require_dims(mult.rows() == scenario.task_classes.size() &&
+                           mult.cols() == scenario.machine_classes.size(),
+                       "scenario: runtime multiplier table must be task "
+                       "classes x machine classes");
+  for (const double x : mult.data()) {
+    if (!(x > 0.0)) {
+      throw ScenarioError(
+          "scenario: runtime multipliers must be > 0 or +inf, got " +
+          std::to_string(x));
+    }
+  }
+}
+
+// Task class i's expected runtime on machine class j at its top P-state,
+// +infinity when it cannot run there. The multiplier applies last, so a
+// unit multiplier leaves the MIPS-scaled runtime bit-identical and an
+// imported ETC entry E comes back as (1 * 1000 / 1000) * E == E.
+double class_runtime(const Scenario& scenario, std::size_t i, std::size_t j) {
+  const TaskClass& tc = scenario.task_classes[i];
+  const MachineClass& mc = scenario.machine_classes[j];
+  if (!compatible(tc, mc)) return kInf;
+  return (tc.expected_runtime * kReferenceMips / mc.mips[0]) *
+         scenario.multiplier(i, j);
+}
+
 void validate_scenario(const Scenario& scenario) {
   if (scenario.machine_classes.empty()) {
     throw ScenarioError("scenario: no machine class blocks");
@@ -294,31 +324,62 @@ void validate_scenario(const Scenario& scenario) {
   if (scenario.task_classes.empty()) {
     throw ScenarioError("scenario: no task class blocks");
   }
+  check_multipliers(scenario);
   // Every task class must run somewhere and every machine class must run
   // something, or the implied ETC matrix would have an all-infinite row or
   // column (the EtcMatrix invariant).
-  for (std::size_t i = 0; i < scenario.task_classes.size(); ++i) {
-    const auto& tc = scenario.task_classes[i];
-    const bool runs_somewhere =
-        std::any_of(scenario.machine_classes.begin(),
-                    scenario.machine_classes.end(),
-                    [&](const MachineClass& mc) { return compatible(tc, mc); });
-    if (!runs_somewhere) {
+  const std::size_t t = scenario.task_classes.size();
+  const std::size_t m = scenario.machine_classes.size();
+  const auto runs = [&](std::size_t i, std::size_t j) {
+    return std::isfinite(class_runtime(scenario, i, j));
+  };
+  for (std::size_t i = 0; i < t; ++i) {
+    std::size_t j = 0;
+    while (j < m && !runs(i, j)) ++j;
+    if (j == m) {
       throw ScenarioError(
           "scenario: task class #" + std::to_string(i + 1) +
           " is compatible with no machine class (CPU type/GPU/memory)");
     }
   }
-  for (std::size_t j = 0; j < scenario.machine_classes.size(); ++j) {
-    const auto& mc = scenario.machine_classes[j];
-    const bool runs_something =
-        std::any_of(scenario.task_classes.begin(), scenario.task_classes.end(),
-                    [&](const TaskClass& tc) { return compatible(tc, mc); });
-    if (!runs_something) {
+  for (std::size_t j = 0; j < m; ++j) {
+    std::size_t i = 0;
+    while (i < t && !runs(i, j)) ++i;
+    if (i == t) {
       throw ScenarioError("scenario: machine class #" + std::to_string(j + 1) +
                           " can run no task class");
     }
   }
+}
+
+// The validated scenario's runtimes, one column per machine class or, with
+// `per_instance`, per machine instance.
+core::EtcMatrix runtimes(const Scenario& scenario, bool per_instance) {
+  validate_scenario(scenario);
+  const std::size_t t = scenario.task_classes.size();
+  std::vector<std::string> task_names(t), machine_names;
+  for (std::size_t i = 0; i < t; ++i) {
+    task_names[i] = "task" + std::to_string(i);
+  }
+  std::vector<std::size_t> column_class;
+  for (std::size_t j = 0; j < scenario.machine_classes.size(); ++j) {
+    const std::size_t copies =
+        per_instance ? scenario.machine_classes[j].count : 1;
+    for (std::size_t k = 0; k < copies; ++k) {
+      std::string name = "mc" + std::to_string(j);
+      if (per_instance) name.append(".").append(std::to_string(k));
+      machine_names.push_back(std::move(name));
+      column_class.push_back(j);
+    }
+  }
+  linalg::Matrix values(t, column_class.size());
+  for (std::size_t i = 0; i < t; ++i) {
+    for (std::size_t c = 0; c < column_class.size(); ++c) {
+      values(i, c) = class_runtime(scenario, i, column_class[c]);
+    }
+  }
+  return core::EtcMatrix(std::move(values), std::move(task_names),
+                         std::move(machine_names));
 }
 
 }  // namespace
@@ -469,51 +530,28 @@ bool compatible(const TaskClass& task, const MachineClass& machine) {
 }
 
 core::EtcMatrix implied_etc(const Scenario& scenario) {
-  const std::size_t t = scenario.task_classes.size();
-  const std::size_t m = scenario.machine_classes.size();
-  linalg::Matrix values(t, m, kInf);
-  std::vector<std::string> task_names(t), machine_names(m);
-  for (std::size_t i = 0; i < t; ++i) {
-    task_names[i] = "task" + std::to_string(i);
-  }
-  for (std::size_t j = 0; j < m; ++j) {
-    machine_names[j] = "mc" + std::to_string(j);
-  }
-  for (std::size_t i = 0; i < t; ++i) {
-    const auto& tc = scenario.task_classes[i];
-    for (std::size_t j = 0; j < m; ++j) {
-      const auto& mc = scenario.machine_classes[j];
-      if (!compatible(tc, mc)) continue;
-      values(i, j) = tc.expected_runtime * kReferenceMips / mc.mips[0];
-    }
-  }
-  return core::EtcMatrix(std::move(values), std::move(task_names),
-                         std::move(machine_names));
+  return runtimes(scenario, false);
 }
 
 core::EtcMatrix instance_etc(const Scenario& scenario) {
-  const std::size_t t = scenario.task_classes.size();
-  const std::size_t m = scenario.machine_count();
-  linalg::Matrix values(t, m, kInf);
-  std::vector<std::string> task_names(t), machine_names(m);
-  for (std::size_t i = 0; i < t; ++i) {
-    task_names[i] = "task" + std::to_string(i);
+  return runtimes(scenario, true);
+}
+
+Scenario scenario_from_etc(const core::EtcMatrix& etc) {
+  Scenario scenario;
+  MachineClass machine;
+  machine.count = machine.cores = 1;
+  machine.s_states = machine.p_states = machine.c_states = {0.0};
+  machine.mips = {kReferenceMips};
+  scenario.machine_classes.assign(etc.machine_count(), machine);
+  for (const std::string& name : etc.task_names()) {
+    TaskClass task;
+    task.expected_runtime = 1.0;
+    task.task_type = name;
+    scenario.task_classes.push_back(std::move(task));
   }
-  std::size_t col = 0;
-  for (std::size_t j = 0; j < scenario.machine_classes.size(); ++j) {
-    const auto& mc = scenario.machine_classes[j];
-    for (std::size_t k = 0; k < mc.count; ++k, ++col) {
-      machine_names[col] =
-          "mc" + std::to_string(j) + "." + std::to_string(k);
-      for (std::size_t i = 0; i < t; ++i) {
-        if (!compatible(scenario.task_classes[i], mc)) continue;
-        values(i, col) = scenario.task_classes[i].expected_runtime *
-                         kReferenceMips / mc.mips[0];
-      }
-    }
-  }
-  return core::EtcMatrix(std::move(values), std::move(task_names),
-                         std::move(machine_names));
+  scenario.runtime_multiplier = etc.values();
+  return scenario;
 }
 
 std::vector<SimArrival> generate_arrivals(const Scenario& scenario,

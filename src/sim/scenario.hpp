@@ -12,11 +12,15 @@
 // and the SLA tier the completion deadline is scored against.
 //
 // The scenario also *implies* an ETC matrix — expected task-class work
-// divided by machine-class top-speed MIPS, +infinity where a class
-// cannot run (CPU type / GPU / memory mismatch) — which is what closes
-// the loop with the paper: MPH/TDH/TMA of that matrix characterize the
-// scenario's heterogeneity, and the simulator measures which scheduler
-// actually wins under it.
+// divided by machine-class top-speed MIPS, times an optional per-(task
+// class, machine class) runtime multiplier, +infinity where a class
+// cannot run (CPU type / GPU / memory mismatch, or an infinite
+// multiplier) — which is what closes the loop with the paper: MPH/TDH/TMA
+// of that matrix characterize the scenario's heterogeneity, and the
+// simulator measures which scheduler actually wins under it. The
+// multiplier table is what gives a scenario graded task-machine
+// affinity; scenario_from_etc() builds one that reproduces any ETC
+// matrix exactly.
 #pragma once
 
 #include <cstddef>
@@ -99,9 +103,23 @@ struct TaskClass {
 struct Scenario {
   std::vector<MachineClass> machine_classes;
   std::vector<TaskClass> task_classes;
+  /// Runtime multiplier per (task class, machine class): a task of class
+  /// i runs runtime_multiplier(i, j) times longer on class j than its
+  /// MIPS rating alone implies. Empty means 1 everywhere; otherwise the
+  /// shape is task classes x machine classes and every entry is finite
+  /// and > 0, or +infinity for "cannot run".
+  linalg::Matrix runtime_multiplier;
 
   /// Total machine instances across classes.
   std::size_t machine_count() const;
+
+  /// runtime_multiplier(task_class, machine_class), or 1 when the table
+  /// is empty.
+  double multiplier(std::size_t task_class, std::size_t machine_class) const {
+    return runtime_multiplier.empty()
+               ? 1.0
+               : runtime_multiplier(task_class, machine_class);
+  }
 };
 
 /// Parses and validates scenario text. Lines may end in CRLF; blank
@@ -120,18 +138,33 @@ bool compatible(const TaskClass& task, const MachineClass& machine);
 
 /// The scenario's implied ETC matrix over *classes*: entry (i, j) is
 /// task class i's expected runtime on machine class j at its top
-/// P-state — expected_runtime * kReferenceMips / mips[0] — and
-/// +infinity where incompatible. This is the matrix whose MPH/TDH/TMA
-/// characterize the scenario (row labels "task0".., column labels
-/// "mc0"..).
+/// P-state — (expected_runtime * kReferenceMips / mips[0]) *
+/// multiplier(i, j) — and +infinity where incompatible. This is the
+/// matrix whose MPH/TDH/TMA characterize the scenario (row labels
+/// "task0".., column labels "mc0"..). Validates the scenario first, as
+/// parse_scenario does: ScenarioError when an entry of the multiplier
+/// table is not > 0 (NaN included) or a class can run nowhere (an
+/// infinite multiplier counts as incompatible), DimensionError when the
+/// table has the wrong shape.
 core::EtcMatrix implied_etc(const Scenario& scenario);
 
 /// The same runtimes expanded over machine *instances* (columns
 /// "mc<class>.<index>"), which is what the online schedulers plan
-/// against.
+/// against. Validates the scenario like implied_etc().
 core::EtcMatrix instance_etc(const Scenario& scenario);
 
+/// A scenario that reproduces `etc` exactly: one 1-core machine class
+/// per column at kReferenceMips, one task class per row with
+/// expected_runtime 1 and SLA3, and the ETC entries as the multiplier
+/// table, so instance_etc(scenario_from_etc(etc)) equals etc bit for
+/// bit, +infinity included. The machines draw no power and the task
+/// classes generate no arrivals: run it with explicit arrivals, in the
+/// ETC's time unit.
+Scenario scenario_from_etc(const core::EtcMatrix& etc);
+
 /// One task arrival: global arrival order is (time, class, sequence).
+/// The simulator's one arrival type, from scenario streams
+/// (generate_arrivals), workload models (sim/workload.hpp) or traces.
 struct SimArrival {
   double time = 0.0;
   std::size_t task_class = 0;

@@ -6,21 +6,35 @@
 // handling, so anything the scheduler does is part of the deterministic
 // event order.
 //
-// Shipped schedulers, by token:
+// Shipped schedulers, by token. The immediate modes bind each arrival on
+// the spot against ready_times() (queued work included), skipping
+// machines that cannot run the task; ties go to the lowest index:
 //
-//   greedy_mct     immediate mode: each arrival goes straight to the
-//                  machine with the earliest estimated completion
-//                  (ready_times() + ETC, first strict minimum).
-//   min_min        batch mode, cold reference: on every arrival and
-//                  completion, recall all queued work and re-run the
-//                  O(U^2 M) batch-mode greedy (smallest best completion
-//                  time first) against base_ready_times().
-//   max_min        as min_min with largest best completion time first.
-//   batch_min_min  the same policies planned through the incremental
-//   batch_max_min  sched::BatchEngine epoch interface. Bit-identical
-//                  traces to their cold twins (the `sim_equiv` label
-//                  asserts it), extending the sched_equiv discipline
-//                  into the simulator.
+//   greedy_mct      minimum completion time (ready + ETC).
+//   olb             opportunistic load balancing: earliest ready time,
+//                   execution-time blind.
+//   met             minimum execution time, availability blind.
+//   kpb             k-percent best: MCT over the best kKpbFraction of the
+//                   capable machines by ETC (at least one); ties go to
+//                   the machine with the smaller ETC.
+//   switching       Maheswaran et al.'s Switching Algorithm on the
+//                   balance index min/max backlog over all machines (1
+//                   when none has backlog): MET once it rises above
+//                   kSwitchHigh, MCT once it falls below kSwitchLow, the
+//                   previous mode in between.
+//
+// The batch modes, on every arrival and completion, recall all queued
+// work and re-plan the unstarted set against base_ready_times():
+//
+//   min_min         cold reference, O(U^2 M) greedy: smallest best
+//                   completion time first.
+//   max_min         largest best completion time first.
+//   sufferage       largest (second-best - best) completion time first.
+//   batch_min_min   the same three policies planned through the
+//   batch_max_min   incremental sched::BatchEngine epoch interface.
+//   batch_sufferage Bit-identical traces to their cold twins (the
+//                   `sim_equiv` label asserts it), extending the
+//                   sched_equiv discipline into the simulator.
 //
 // Scheduler instances are one-shot and engine-bound, like Engine itself:
 // make a fresh one per run.
@@ -34,6 +48,12 @@
 #include "sim/engine.hpp"
 
 namespace hetero::sim {
+
+/// kpb keeps the best half of the capable machines.
+inline constexpr double kKpbFraction = 0.5;
+/// switching's balance-index thresholds.
+inline constexpr double kSwitchLow = 0.3;
+inline constexpr double kSwitchHigh = 0.7;
 
 class OnlineScheduler {
  public:

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "base/error.hpp"
@@ -21,32 +21,95 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// First machine attaining the strict minimum of ready[j] + etc(type, j) —
-// the same kernel scan and tie-break the sched:: heuristics use.
-std::size_t best_machine(const core::EtcMatrix& etc,
-                         const std::vector<double>& ready, std::size_t type,
-                         double* best_ct_out = nullptr) {
+// First machine attaining the strict minimum of ready[j] + etc(type, j),
+// and the runner-up completion time — the same kernel scan and tie-break
+// the sched:: heuristics use.
+struct Scan {
   double best_ct = kInf, second_ct = kInf;
   std::size_t best = 0;
+};
+
+Scan scan(const core::EtcMatrix& etc, const std::vector<double>& ready,
+          std::size_t type) {
+  Scan s;
   simd::kernels().best_second_scan(etc.values().row(type).data(),
                                    ready.data(), etc.machine_count(),
-                                   &best_ct, &second_ct, &best);
-  if (best_ct_out) *best_ct_out = best_ct;
-  return best;
+                                   &s.best_ct, &s.second_ct, &s.best);
+  return s;
 }
 
-// Immediate-mode MCT: each arrival is bound on the spot to the machine
-// with the earliest estimated completion, queued work included.
-class GreedyMct final : public OnlineScheduler {
+enum class Rule { mct, olb, met, kpb, switching };
+
+// Immediate mode: each arrival is bound on the spot, against
+// ready_times(), by one of the rules listed in scheduler.hpp.
+class Immediate final : public OnlineScheduler {
  public:
-  std::string_view name() const override { return "greedy_mct"; }
+  Immediate(std::string_view name, Rule rule) : name_(name), rule_(rule) {}
+
+  std::string_view name() const override { return name_; }
 
   void on_arrival(Engine& engine, std::size_t task) override {
     const std::vector<double> ready = engine.ready_times();
-    const std::size_t j =
-        best_machine(engine.etc(), ready, engine.task_class_of(task));
-    engine.assign(task, j);
+    const std::size_t type = engine.task_class_of(task);
+    Rule rule = rule_;
+    if (rule == Rule::switching) {
+      rule = switch_to_met(ready, engine.now()) ? Rule::met : Rule::mct;
+    }
+    engine.assign(task, rule == Rule::mct
+                            ? scan(engine.etc(), ready, type).best
+                            : pick(rule, engine.etc().values().row(type),
+                                   ready));
   }
+
+ private:
+  // The Switching Algorithm's mode after observing the balance index
+  // min/max backlog (1 when no machine has backlog).
+  bool switch_to_met(const std::vector<double>& ready, double now) {
+    double lo = kInf, hi = 0.0;
+    for (const double r : ready) {
+      lo = std::min(lo, r - now);
+      hi = std::max(hi, r - now);
+    }
+    const double balance = hi == 0.0 ? 1.0 : lo / hi;
+    if (balance > kSwitchHigh) in_met_ = true;
+    if (balance < kSwitchLow) in_met_ = false;
+    return in_met_;
+  }
+
+  // First strict minimum of the rule's key over the capable machines
+  // (kpb: over the best kKpbFraction of them, in ETC order).
+  std::size_t pick(Rule rule, std::span<const double> row,
+                   const std::vector<double>& ready) {
+    candidates_.clear();
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      if (std::isfinite(row[j])) candidates_.push_back(j);
+    }
+    if (rule == Rule::kpb) {
+      std::stable_sort(
+          candidates_.begin(), candidates_.end(),
+          [row](std::size_t x, std::size_t y) { return row[x] < row[y]; });
+      candidates_.resize(std::max<std::size_t>(
+          1, static_cast<std::size_t>(std::ceil(
+                 kKpbFraction * static_cast<double>(candidates_.size())))));
+    }
+    std::size_t best = candidates_.front();
+    double best_key = kInf;
+    for (const std::size_t j : candidates_) {
+      const double key = rule == Rule::olb   ? ready[j]
+                         : rule == Rule::met ? row[j]
+                                             : ready[j] + row[j];
+      if (key < best_key) {
+        best_key = key;
+        best = j;
+      }
+    }
+    return best;
+  }
+
+  std::string_view name_;
+  Rule rule_;
+  bool in_met_ = false;
+  std::vector<std::size_t> candidates_;
 };
 
 // The batch twins re-plan the whole unstarted set on every arrival and
@@ -58,34 +121,55 @@ class GreedyMct final : public OnlineScheduler {
 class PendingRegistry {
  public:
   // Appends unstarted tasks not yet registered (ascending id, so fresh
-  // arrivals land at the back in arrival order).
-  void sync(const std::vector<std::size_t>& unstarted) {
+  // arrivals land at the back in arrival order); returns how many.
+  std::size_t sync(const std::vector<std::size_t>& unstarted) {
+    const std::size_t before = order_.size();
     for (const std::size_t t : unstarted) {
       if (t >= tracked_.size()) tracked_.resize(t + 1, 0);
       if (!tracked_[t]) {
         tracked_[t] = 1;
         order_.push_back(t);
-        if (on_add) on_add(t);
       }
     }
+    return order_.size() - before;
   }
 
-  // The task started executing: drop it from the registry.
-  void drop(std::size_t task) {
-    if (task >= tracked_.size() || !tracked_[task]) return;
+  // The task started executing: drops it from the registry, returning
+  // whether it was registered.
+  bool drop(std::size_t task) {
+    if (task >= tracked_.size() || !tracked_[task]) return false;
     tracked_[task] = 0;
     order_.erase(std::find(order_.begin(), order_.end(), task));
-    if (on_drop) on_drop(task);
+    return true;
   }
 
   const std::vector<std::size_t>& order() const { return order_; }
 
-  std::function<void(std::size_t)> on_add;   // mirror into a planner
-  std::function<void(std::size_t)> on_drop;
-
  private:
   std::vector<std::size_t> order_;
   std::vector<char> tracked_;  // by task id
+};
+
+// What the batch twins share: a re-plan on every arrival and completion
+// over the registered unstarted set.
+class BatchMode : public OnlineScheduler {
+ public:
+  BatchMode(std::string_view name, sched::BatchPolicy policy)
+      : name_(name), policy_(policy) {}
+
+  std::string_view name() const override { return name_; }
+
+  void on_arrival(Engine& engine, std::size_t) override { replan(engine); }
+  void on_completion(Engine& engine, std::size_t, std::size_t) override {
+    replan(engine);
+  }
+
+ protected:
+  virtual void replan(Engine& engine) = 0;
+
+  std::string_view name_;
+  sched::BatchPolicy policy_;
+  PendingRegistry registry_;
 };
 
 // Batch-mode replanning, cold reference: every arrival or completion
@@ -93,24 +177,28 @@ class PendingRegistry {
 // batch-mode greedy of sched/heuristics.cpp over the registered pending
 // set against base_ready_times(). The equivalence yardstick for the
 // BatchEngine-backed adapters below.
-class ColdBatch final : public OnlineScheduler {
+class ColdBatch final : public BatchMode {
  public:
-  explicit ColdBatch(bool max_min) : max_min_(max_min) {}
+  using BatchMode::BatchMode;
 
-  std::string_view name() const override {
-    return max_min_ ? "max_min" : "min_min";
-  }
-
-  void on_arrival(Engine& engine, std::size_t) override { replan(engine); }
   void on_start(Engine&, std::size_t task, std::size_t) override {
     registry_.drop(task);
   }
-  void on_completion(Engine& engine, std::size_t, std::size_t) override {
-    replan(engine);
-  }
 
  private:
-  void replan(Engine& engine) {
+  double priority(const Scan& s) const {
+    switch (policy_) {
+      case sched::BatchPolicy::min_min:
+        return -s.best_ct;
+      case sched::BatchPolicy::max_min:
+        return s.best_ct;
+      case sched::BatchPolicy::sufferage:
+        return std::isinf(s.second_ct) ? kInf : s.second_ct - s.best_ct;
+    }
+    return -kInf;
+  }
+
+  void replan(Engine& engine) override {
     engine.recall_queued();
     registry_.sync(engine.unstarted());
     const std::vector<std::size_t>& pending = registry_.order();
@@ -125,13 +213,12 @@ class ColdBatch final : public OnlineScheduler {
       for (std::size_t k = 0; k < pending.size(); ++k) {
         if (mapped[k]) continue;
         const std::size_t type = engine.task_class_of(pending[k]);
-        double best_ct = kInf;
-        const std::size_t j = best_machine(etc, ready, type, &best_ct);
-        const double p = max_min_ ? best_ct : -best_ct;
+        const Scan s = scan(etc, ready, type);
+        const double p = priority(s);
         if (p > best_priority) {
           best_priority = p;
           chosen = k;
-          chosen_j = j;
+          chosen_j = s.best;
           chosen_type = type;
         }
       }
@@ -140,9 +227,6 @@ class ColdBatch final : public OnlineScheduler {
       mapped[chosen] = 1;
     }
   }
-
-  bool max_min_;
-  PendingRegistry registry_;
 };
 
 // The same batch policies planned through the incremental BatchEngine:
@@ -150,73 +234,81 @@ class ColdBatch final : public OnlineScheduler {
 // warm epoch (begin_epoch diffs the ready vector and rescans only
 // affected slots). Commit order, tie-breaks, and therefore the whole
 // event trace match the cold twin bit for bit.
-class BatchEngineScheduler final : public OnlineScheduler {
+class BatchEngineScheduler final : public BatchMode {
  public:
-  explicit BatchEngineScheduler(bool max_min) : max_min_(max_min) {}
+  using BatchMode::BatchMode;
 
-  std::string_view name() const override {
-    return max_min_ ? "batch_max_min" : "batch_min_min";
-  }
-
-  void on_arrival(Engine& engine, std::size_t) override { replan(engine); }
-
-  void on_start(Engine& engine, std::size_t task, std::size_t) override {
-    planner(engine);  // ensure the registry mirror exists
-    registry_.drop(task);
-  }
-
-  void on_completion(Engine& engine, std::size_t, std::size_t) override {
-    replan(engine);
+  void on_start(Engine&, std::size_t task, std::size_t) override {
+    if (registry_.drop(task)) planner_->remove_slot(task);
   }
 
  private:
-  sched::BatchEngine& planner(Engine& engine) {
-    if (!planner_) {
-      planner_.emplace(engine.etc(), max_min_ ? sched::BatchPolicy::max_min
-                                              : sched::BatchPolicy::min_min);
-      registry_.on_add = [this, &engine](std::size_t t) {
-        planner_->add_slot(t, engine.task_class_of(t));
-      };
-      registry_.on_drop = [this](std::size_t t) { planner_->remove_slot(t); };
-    }
-    return *planner_;
-  }
-
-  void replan(Engine& engine) {
-    sched::BatchEngine& p = planner(engine);
+  void replan(Engine& engine) override {
+    if (!planner_) planner_.emplace(engine.etc(), policy_);
     engine.recall_queued();
-    registry_.sync(engine.unstarted());
-    if (p.active_count() == 0) return;
-    p.begin_epoch(engine.base_ready_times());
-    p.plan([&engine](std::size_t slot, std::size_t machine) {
+    // Mirror the registry's new tail into the planner, in order.
+    const std::size_t added = registry_.sync(engine.unstarted());
+    const std::vector<std::size_t>& order = registry_.order();
+    for (std::size_t k = order.size() - added; k < order.size(); ++k) {
+      planner_->add_slot(order[k], engine.task_class_of(order[k]));
+    }
+    if (planner_->active_count() == 0) return;
+    planner_->begin_epoch(engine.base_ready_times());
+    planner_->plan([&engine](std::size_t slot, std::size_t machine) {
       engine.assign(slot, machine);
     });
   }
 
-  bool max_min_;
-  PendingRegistry registry_;
   std::optional<sched::BatchEngine> planner_;
+};
+
+// The token registry: make_scheduler, scheduler_tokens and the
+// unknown-token message all read this one table.
+template <class S, auto arg>
+std::unique_ptr<OnlineScheduler> make(std::string_view token) {
+  return std::make_unique<S>(token, arg);
+}
+
+struct Entry {
+  std::string_view token;
+  std::unique_ptr<OnlineScheduler> (*make)(std::string_view token);
+};
+
+using sched::BatchPolicy;
+constexpr Entry kRegistry[] = {
+    {"greedy_mct", make<Immediate, Rule::mct>},
+    {"olb", make<Immediate, Rule::olb>},
+    {"met", make<Immediate, Rule::met>},
+    {"kpb", make<Immediate, Rule::kpb>},
+    {"switching", make<Immediate, Rule::switching>},
+    {"min_min", make<ColdBatch, BatchPolicy::min_min>},
+    {"max_min", make<ColdBatch, BatchPolicy::max_min>},
+    {"sufferage", make<ColdBatch, BatchPolicy::sufferage>},
+    {"batch_min_min", make<BatchEngineScheduler, BatchPolicy::min_min>},
+    {"batch_max_min", make<BatchEngineScheduler, BatchPolicy::max_min>},
+    {"batch_sufferage", make<BatchEngineScheduler, BatchPolicy::sufferage>},
 };
 
 }  // namespace
 
 std::unique_ptr<OnlineScheduler> make_scheduler(std::string_view token) {
-  if (token == "greedy_mct") return std::make_unique<GreedyMct>();
-  if (token == "min_min") return std::make_unique<ColdBatch>(false);
-  if (token == "max_min") return std::make_unique<ColdBatch>(true);
-  if (token == "batch_min_min")
-    return std::make_unique<BatchEngineScheduler>(false);
-  if (token == "batch_max_min")
-    return std::make_unique<BatchEngineScheduler>(true);
-  throw ValueError("make_scheduler: unknown scheduler '" +
-                   std::string(token) +
-                   "' (valid: greedy_mct, min_min, max_min, batch_min_min, "
-                   "batch_max_min)");
+  for (const Entry& e : kRegistry) {
+    if (e.token == token) return e.make(e.token);
+  }
+  std::string message = "make_scheduler: unknown scheduler '";
+  message.append(token).append("' (valid: ");
+  for (const Entry& e : kRegistry) {
+    if (&e != kRegistry) message.append(", ");
+    message.append(e.token);
+  }
+  message.append(")");
+  throw ValueError(message);
 }
 
 std::vector<std::string_view> scheduler_tokens() {
-  return {"greedy_mct", "min_min", "max_min", "batch_min_min",
-          "batch_max_min"};
+  std::vector<std::string_view> tokens;
+  for (const Entry& e : kRegistry) tokens.push_back(e.token);
+  return tokens;
 }
 
 }  // namespace hetero::sim

@@ -1,11 +1,14 @@
-#include "sched/workload.hpp"
+#include "sim/workload.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "linalg/vector_ops.hpp"
+#include "sim/engine.hpp"
+#include "sim/scheduler.hpp"
 
 namespace {
 
@@ -13,7 +16,7 @@ using hetero::DimensionError;
 using hetero::ValueError;
 using hetero::core::EtcMatrix;
 using hetero::linalg::Matrix;
-namespace sc = hetero::sched;
+namespace sc = hetero::sim;
 
 EtcMatrix env() {
   return EtcMatrix(Matrix{{1, 2}, {3, 4}, {5, 6}}, {"a", "b", "c"},
@@ -26,12 +29,32 @@ TEST(Workload, ConstantRateMatchesExpectation) {
   opts.base_rate = 4.0;
   const auto arrivals = sc::generate_workload(env(), opts, 2000, rng);
   ASSERT_EQ(arrivals.size(), 2000u);
-  EXPECT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end(),
-                             [](const sc::Arrival& x, const sc::Arrival& y) {
-                               return x.time < y.time;
-                             }));
+  EXPECT_TRUE(std::is_sorted(
+      arrivals.begin(), arrivals.end(),
+      [](const sc::SimArrival& x, const sc::SimArrival& y) {
+        return x.time < y.time;
+      }));
   // Mean inter-arrival ~ 1/4.
   EXPECT_NEAR(arrivals.back().time / 2000.0, 0.25, 0.03);
+}
+
+TEST(Workload, ConstantRateIgnoresDiurnalKnobs) {
+  // A constant process is its own thinning envelope: the diurnal
+  // amplitude must not change its trace.
+  sc::WorkloadOptions a;
+  a.diurnal_amplitude = 0.5;
+  sc::WorkloadOptions b;
+  b.diurnal_amplitude = 0.0;
+  b.diurnal_period = 3.0;
+  hetero::etcgen::Rng rng_a = hetero::etcgen::make_rng(3);
+  hetero::etcgen::Rng rng_b = hetero::etcgen::make_rng(3);
+  const auto x = sc::generate_workload(env(), a, 200, rng_a);
+  const auto y = sc::generate_workload(env(), b, 200, rng_b);
+  ASSERT_EQ(x.size(), y.size());
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    EXPECT_EQ(x[k].time, y[k].time) << k;  // bitwise
+    EXPECT_EQ(x[k].task_class, y[k].task_class) << k;
+  }
 }
 
 TEST(Workload, MixControlsTypeFrequencies) {
@@ -41,7 +64,7 @@ TEST(Workload, MixControlsTypeFrequencies) {
   const auto arrivals = sc::generate_workload(env(), opts, 3000, rng);
   std::size_t type0 = 0;
   for (const auto& a : arrivals)
-    if (a.type == 0) ++type0;
+    if (a.task_class == 0) ++type0;
   EXPECT_NEAR(static_cast<double>(type0) / 3000.0, 0.8, 0.05);
 }
 
@@ -50,7 +73,7 @@ TEST(Workload, ZeroMixWeightExcludesType) {
   sc::WorkloadOptions opts;
   opts.task_mix = {1.0, 0.0, 1.0};
   const auto arrivals = sc::generate_workload(env(), opts, 500, rng);
-  for (const auto& a : arrivals) EXPECT_NE(a.type, 1u);
+  for (const auto& a : arrivals) EXPECT_NE(a.task_class, 1u);
 }
 
 TEST(Workload, DiurnalModulatesDensity) {
@@ -74,7 +97,7 @@ TEST(Workload, DiurnalModulatesDensity) {
 TEST(Workload, BurstyHasHeavierTailGaps) {
   // Bursty traffic: same mean-ish rate but far more variable inter-arrival
   // gaps than constant-rate Poisson.
-  const auto gap_cov = [](const std::vector<sc::Arrival>& arrivals) {
+  const auto gap_cov = [](const std::vector<sc::SimArrival>& arrivals) {
     std::vector<double> gaps;
     for (std::size_t k = 1; k < arrivals.size(); ++k)
       gaps.push_back(arrivals[k].time - arrivals[k - 1].time);
@@ -121,14 +144,14 @@ TEST(Workload, TraceCsvRoundTrip) {
   ASSERT_EQ(parsed.size(), arrivals.size());
   for (std::size_t k = 0; k < arrivals.size(); ++k) {
     EXPECT_DOUBLE_EQ(parsed[k].time, arrivals[k].time);
-    EXPECT_EQ(parsed[k].type, arrivals[k].type);
+    EXPECT_EQ(parsed[k].task_class, arrivals[k].task_class);
   }
 }
 
 TEST(Workload, TraceCsvAcceptsNumericTypes) {
   const auto parsed = sc::read_trace_csv_string("time,task\n1.5,2\n", env());
   ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].type, 2u);
+  EXPECT_EQ(parsed[0].task_class, 2u);
 }
 
 TEST(Workload, TraceCsvRejectsBadInput) {
@@ -139,6 +162,20 @@ TEST(Workload, TraceCsvRejectsBadInput) {
   EXPECT_THROW(sc::read_trace_csv_string("1,unknown-task\n", env()),
                ValueError);
   EXPECT_THROW(sc::read_trace_csv_string("1,9\n", env()), DimensionError);
+  // Whole-token fields: an index past size_t, a non-finite time and
+  // trailing text are rejected, not thrown as std:: errors or truncated.
+  EXPECT_THROW(sc::read_trace_csv_string("1,99999999999999999999\n", env()),
+               DimensionError);
+  EXPECT_THROW(sc::read_trace_csv_string("inf,0\n", env()), ValueError);
+  EXPECT_THROW(sc::read_trace_csv_string("1.5abc,0\n", env()), ValueError);
+  // Errors name the line.
+  try {
+    sc::read_trace_csv_string("time,task\n1,a\n\n2x,b\n", env());
+    FAIL() << "expected ValueError";
+  } catch (const ValueError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Workload, FeedsDynamicSimulator) {
@@ -147,10 +184,11 @@ TEST(Workload, FeedsDynamicSimulator) {
   opts.shape = sc::RateShape::bursty;
   opts.base_rate = 0.5;
   const auto arrivals = sc::generate_workload(env(), opts, 100, rng);
-  const auto r = sc::simulate_immediate(env(), arrivals,
-                                        sc::ImmediateMode::mct);
-  EXPECT_EQ(r.assignment.size(), 100u);
-  EXPECT_TRUE(std::isfinite(r.makespan));
+  const sc::Scenario scenario = sc::scenario_from_etc(env());
+  sc::Engine engine(scenario, arrivals, {.tick_period = 0.0});
+  const auto r = engine.run(*sc::make_scheduler("greedy_mct"));
+  EXPECT_EQ(r.completed, 100u);
+  EXPECT_TRUE(std::isfinite(r.end_time));
 }
 
 }  // namespace

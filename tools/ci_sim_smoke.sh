@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Scenario-suite smoke for the discrete-event simulator: replays every
-# shipped scenarios/*.sim through examples/hetero_sim with three schedulers
-# (immediate-mode greedy_mct and the BatchEngine-backed batch_min_min and
-# batch_max_min), runs the whole sweep twice, and asserts
+# shipped scenarios/*.sim through examples/hetero_sim with four schedulers
+# (immediate-mode greedy_mct and the BatchEngine-backed batch_min_min,
+# batch_max_min and batch_sufferage), runs the whole sweep twice, and
+# asserts
 #   (a) the machine-parsable RESULT lines — trace hash included — are
 #       bit-identical between the two passes, and
 #   (b) every run reports non-zero energy (a zero means the P/C/S-state
@@ -11,12 +12,12 @@
 # Usage, from the repository root (after cmake --build build):
 #   tools/ci_sim_smoke.sh
 # Env knobs: BUILD_DIR (default build), SCHEDULERS (comma list, default
-# greedy_mct,batch_min_min,batch_max_min).
+# greedy_mct,batch_min_min,batch_max_min,batch_sufferage).
 set -euo pipefail
 
 REPO_ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BUILD_DIR=${BUILD_DIR:-$REPO_ROOT/build}
-SCHEDULERS=${SCHEDULERS:-greedy_mct,batch_min_min,batch_max_min}
+SCHEDULERS=${SCHEDULERS:-greedy_mct,batch_min_min,batch_max_min,batch_sufferage}
 
 sim="$BUILD_DIR/examples/hetero_sim"
 [ -x "$sim" ] || { echo "missing binary: $sim (build first)" >&2; exit 1; }
