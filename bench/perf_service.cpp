@@ -21,8 +21,15 @@
 //                                 separate protocol+pipeline cost from
 //                                 dispatch cost
 //   BM_ParseRequest             — svc::parse_request of one characterize
-//                                 line (64x8, 128x16): the svc.parse_us
-//                                 layer of a cold request, no server
+//                                 line with integer entries and no labels,
+//                                 as perfbench's fleet_fresh sends (64x8,
+//                                 128x16): the svc.parse_us layer of a
+//                                 cold request, no server
+//   BM_ParseRequestFullPrecision — the same for a labelled line of 17-digit
+//                                 doubles (to_json(EtcMatrix) output)
+//   BM_CacheKey                 — svc::cache_key of one parsed
+//                                 BM_ParseRequest request: the
+//                                 svc.cache_key_us layer, no server
 //   BM_CharacterizeResultJson   — io::to_json of one EnvironmentReport
 //                                 (64x8, 128x16): the io.result_json_us
 //                                 layer, no server
@@ -56,6 +63,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -264,13 +272,31 @@ void BM_ServiceHandleInline(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceHandleInline);
 
-// The two text layers of a cold characterize, measured without a server.
-// Args = {tasks, machines}; 64x8 is the perfbench fleet_fresh shape.
-void BM_ParseRequest(benchmark::State& state) {
-  const std::string line = request_line(
-      make_matrix(static_cast<std::size_t>(state.range(0)),
-                  static_cast<std::size_t>(state.range(1)), 7),
-      "characterize", "");
+/// A characterize line shaped like perfbench's fleet_fresh requests:
+/// integer entries (tens to thousands), no labels.
+std::string integer_line(std::size_t tasks, std::size_t machines,
+                         std::uint64_t seed) {
+  auto rng = hetero::etcgen::make_rng(seed);
+  std::vector<double> machine(machines);
+  for (double& m : machine) m = hetero::etcgen::uniform(rng, 1.0, 10.0);
+  std::string line = "{\"kind\":\"characterize\",\"etc\":[";
+  for (std::size_t i = 0; i < tasks; ++i) {
+    const double task = hetero::etcgen::uniform(rng, 1.0, 100.0);
+    line += i ? ",[" : "[";
+    for (std::size_t j = 0; j < machines; ++j) {
+      if (j) line += ',';
+      line += std::to_string(
+          1 + static_cast<std::uint64_t>(
+                  task * machine[j] * hetero::etcgen::uniform(rng, 0.5, 1.5) *
+                  10.0));
+    }
+    line += ']';
+  }
+  line += "]}";
+  return line;
+}
+
+void parse_request_loop(benchmark::State& state, const std::string& line) {
   for (auto _ : state) {
     const hetero::svc::Request request = hetero::svc::parse_request(line);
     benchmark::DoNotOptimize(&request);
@@ -279,7 +305,38 @@ void BM_ParseRequest(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(line.size()));
 }
+
+// The text layers of a cold characterize, measured without a server.
+// Args = {tasks, machines}; 64x8 is the perfbench fleet_fresh shape.
+void BM_ParseRequest(benchmark::State& state) {
+  parse_request_loop(
+      state, integer_line(static_cast<std::size_t>(state.range(0)),
+                          static_cast<std::size_t>(state.range(1)), 7));
+}
 BENCHMARK(BM_ParseRequest)->Args({64, 8})->Args({128, 16});
+
+// The same for to_json(EtcMatrix) output: labels, and every entry a
+// 17-digit double, which is from_chars's slow case.
+void BM_ParseRequestFullPrecision(benchmark::State& state) {
+  parse_request_loop(
+      state, request_line(make_matrix(static_cast<std::size_t>(state.range(0)),
+                                      static_cast<std::size_t>(state.range(1)),
+                                      7),
+                          "characterize", ""));
+}
+BENCHMARK(BM_ParseRequestFullPrecision)->Args({64, 8})->Args({128, 16});
+
+// svc::cache_key of a parsed BM_ParseRequest line: the svc.cache_key_us
+// layer, which the loop thread pays on every cacheable request.
+void BM_CacheKey(benchmark::State& state) {
+  const hetero::svc::Request request = hetero::svc::parse_request(
+      integer_line(static_cast<std::size_t>(state.range(0)),
+                   static_cast<std::size_t>(state.range(1)), 7));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(hetero::svc::cache_key(request));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CacheKey)->Args({64, 8})->Args({128, 16});
 
 void BM_CharacterizeResultJson(benchmark::State& state) {
   const auto ecs = make_matrix(static_cast<std::size_t>(state.range(0)),

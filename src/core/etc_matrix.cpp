@@ -1,7 +1,9 @@
 #include "core/etc_matrix.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "linalg/vector_ops.hpp"
@@ -33,11 +35,9 @@ std::size_t find_label(const std::vector<std::string>& labels,
 std::vector<std::string> default_labels(std::size_t count, char prefix) {
   std::vector<std::string> labels;
   labels.reserve(count);
-  for (std::size_t i = 1; i <= count; ++i) {
-    std::string label(1, prefix);
-    label.append(std::to_string(i));
-    labels.push_back(std::move(label));
-  }
+  char buf[24] = {prefix};
+  for (std::size_t i = 1; i <= count; ++i)
+    labels.emplace_back(buf, std::to_chars(buf + 1, std::end(buf), i).ptr);
   return labels;
 }
 

@@ -254,6 +254,14 @@ const JsonValue& JsonValue::at(std::string_view key) const {
 
 namespace {
 
+std::vector<std::string> string_array(const JsonValue& v, const char* what) {
+  std::vector<std::string> out;
+  detail::require_value(v.is_array(), what);
+  out.reserve(v.as_array().size());
+  for (const auto& e : v.as_array()) out.push_back(e.as_string());
+  return out;
+}
+
 constexpr int kMaxDepth = 128;
 // Number tokens this long or longer are rejected outright.
 constexpr std::size_t kMaxNumberChars = 64;
@@ -273,12 +281,32 @@ class Parser {
 
   JsonValue parse_document() {
     JsonValue v = parse_value(0);
-    skip_whitespace();
-    if (pos_ != text_.size()) fail("trailing characters after JSON value");
+    finish();
     return v;
   }
 
+  EtcDocument parse_etc_document() {
+    EtcDocument doc;
+    skip_whitespace();
+    doc.root = pos_ < text_.size() && text_[pos_] == '{'
+                   ? parse_object(0, &doc.etc)
+                   : parse_value(0);
+    finish();
+    return doc;
+  }
+
+  EtcField parse_etc() {
+    EtcField field = read_etc(0);
+    finish();
+    return field;
+  }
+
  private:
+  void finish() {
+    skip_whitespace();
+    if (pos_ != text_.size()) fail("trailing characters after JSON value");
+  }
+
   [[noreturn]] void fail(const std::string& what) const {
     throw ValueError("json parse error at byte " + std::to_string(pos_) +
                      ": " + what);
@@ -330,8 +358,12 @@ class Parser {
 
   // Containers gather their children on the parser's stacks (members_,
   // elements_) above a base mark, so a nested container's frame sits on
-  // top of its parent's and is popped before the parent resumes.
-  JsonValue parse_object(int depth) {
+  // top of its parent's and is popped before the parent resumes. With
+  // `etc` set, the first "etc" member goes to the typed reader (both
+  // matrix forms, or bare rows only when not `labelled`) and later ones
+  // are checked and dropped.
+  JsonValue parse_object(int depth, std::optional<EtcField>* etc = nullptr,
+                         bool labelled = true) {
     expect('{');
     skip_whitespace();
     if (peek() == '}') {
@@ -344,8 +376,15 @@ class Parser {
       std::string key = parse_string();
       skip_whitespace();
       expect(':');
-      JsonValue value = parse_value(depth + 1);
-      members_.emplace_back(std::move(key), std::move(value));
+      if (etc != nullptr && key == "etc") {
+        if (*etc)
+          parse_value(depth + 1);
+        else
+          *etc = labelled ? read_etc(depth + 1) : read_rows(depth + 1);
+      } else {
+        JsonValue value = parse_value(depth + 1);
+        members_.emplace_back(std::move(key), std::move(value));
+      }
       skip_whitespace();
       const char c = peek();
       ++pos_;
@@ -373,6 +412,134 @@ class Parser {
     }
     return JsonValue::make_array(pop_frame(elements_, base));
   }
+
+  // Typed ETC reader. Each read_* stands in for parse_value(depth) at the
+  // same position: it consumes the same bytes and fails with the same
+  // message at the same offset, so the only difference is what it builds.
+  // A shape or type error is recorded in the field (the first one, in the
+  // order a reader of the tree meets them) and reading goes on, because a
+  // syntax error anywhere in the document still takes precedence.
+
+  /// Labelled object or bare rows.
+  EtcField read_etc(int depth) {
+    if (depth > kMaxDepth) fail("nesting too deep");
+    skip_whitespace();
+    if (peek() != '{') return read_rows(depth);
+    std::optional<EtcField> rows;
+    const JsonValue labels = parse_object(depth, &rows, /*labelled=*/false);
+    if (!rows) return failed("json: missing object member \"etc\"");
+    try {
+      if (const JsonValue* t = labels.find("tasks"))
+        rows->task_names =
+            string_array(*t, "json etc: \"tasks\" must be an array");
+      if (const JsonValue* m = labels.find("machines"))
+        rows->machine_names =
+            string_array(*m, "json etc: \"machines\" must be an array");
+    } catch (const Error&) {
+      rows->error = std::current_exception();
+    }
+    return std::move(*rows);
+  }
+
+  /// An array of equally long rows of numbers or nulls.
+  EtcField read_rows(int depth) {
+    if (depth > kMaxDepth) fail("nesting too deep");
+    skip_whitespace();
+    if (peek() != '[') {
+      parse_value(depth);
+      return failed("json etc: expected a non-empty array of rows");
+    }
+    ++pos_;
+    skip_whitespace();
+    if (peek() == ']') {
+      ++pos_;
+      return failed("json etc: expected a non-empty array of rows");
+    }
+    if (depth + 1 > kMaxDepth) fail("nesting too deep");
+    EtcField field;
+    while (true) {
+      skip_whitespace();
+      if (peek() == '[') {
+        read_row(depth + 1, field);
+      } else {
+        parse_value(depth + 1);
+        if (!field.error)
+          field.error = value_error(field.rows == 0
+                                        ? "json etc: rows must be non-empty "
+                                          "arrays"
+                                        : "json: value is not an array");
+      }
+      ++field.rows;
+      skip_whitespace();
+      const char c = peek();
+      ++pos_;
+      if (c == ']') break;
+      if (c != ',') fail("expected ',' or ']' in array");
+    }
+    return field;
+  }
+
+  /// One row, appended to field.values; the first row fixes field.cols.
+  void read_row(int depth, EtcField& field) {
+    const std::size_t row_start = pos_;
+    ++pos_;  // '['
+    std::size_t n = 0;
+    bool non_number = false;
+    skip_whitespace();
+    if (peek() == ']') {
+      ++pos_;
+    } else {
+      if (depth + 1 > kMaxDepth) fail("nesting too deep");
+      while (true) {
+        skip_whitespace();
+        switch (peek()) {
+          case 'n':
+            if (!consume_literal("null")) fail("invalid literal");
+            // The writer's NaN/infinity policy: null is "cannot run".
+            field.values.push_back(std::numeric_limits<double>::infinity());
+            break;
+          case '{': case '[': case '"': case 't': case 'f':
+            parse_value(depth + 1);
+            non_number = true;
+            break;
+          default: field.values.push_back(parse_number());
+        }
+        ++n;
+        skip_whitespace();
+        const char c = peek();
+        ++pos_;
+        if (c == ']') break;
+        if (c != ',') fail("expected ',' or ']' in array");
+      }
+    }
+    if (field.rows == 0) {
+      field.cols = n;
+      // Room for as many rows of this length as the rest of the text
+      // holds: one allocation when later rows are no shorter, a regrowth
+      // at worst.
+      field.values.reserve(
+          n * (1 + (text_.size() - pos_) / (pos_ - row_start)));
+    }
+    if (field.error) return;
+    if (field.cols == 0)
+      field.error = value_error("json etc: rows must be non-empty arrays");
+    else if (n != field.cols)
+      field.error =
+          std::make_exception_ptr(DimensionError("json etc: ragged rows"));
+    else if (non_number)
+      field.error = value_error("json: value is not a number");
+  }
+
+  static std::exception_ptr value_error(const char* what) {
+    return std::make_exception_ptr(ValueError(what));
+  }
+
+  static EtcField failed(const char* what) {
+    EtcField field;
+    field.error = value_error(what);
+    return field;
+  }
+
   unsigned parse_hex4() {
     if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
     unsigned code = 0;
@@ -456,34 +623,50 @@ class Parser {
     return out;
   }
 
+  bool at_digit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+
+  std::size_t digits() {
+    const std::size_t start = pos_;
+    while (at_digit()) ++pos_;
+    return pos_ - start;
+  }
+
   double parse_number() {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    const auto digits = [&] {
-      std::size_t n = 0;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-        ++n;
-      }
-      return n;
-    };
+    const bool negative = pos_ < text_.size() && text_[pos_] == '-';
+    if (negative) ++pos_;
     const std::size_t int_start = pos_;
-    if (digits() == 0) fail("invalid number");
+    std::uint64_t integer = 0;  // exact while at most 19 digits
+    for (; at_digit(); ++pos_)
+      integer = integer * 10 + static_cast<unsigned>(text_[pos_] - '0');
+    const std::size_t int_digits = pos_ - int_start;
+    if (int_digits == 0) fail("invalid number");
     // JSON forbids leading zeros: "01" is two tokens, not a number.
-    if (text_[int_start] == '0' && pos_ - int_start > 1)
+    if (text_[int_start] == '0' && int_digits > 1)
       fail("leading zeros are not allowed");
+    bool plain_integer = true;
     if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
+      plain_integer = false;
       if (digits() == 0) fail("digits required after decimal point");
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
+      plain_integer = false;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
         ++pos_;
       if (digits() == 0) fail("digits required in exponent");
     }
     const std::size_t len = pos_ - start;
     if (len >= kMaxNumberChars) fail("number token too long");
+    // Below 10^15 < 2^53 every integer is a double: the conversion is
+    // exact, so it is the value from_chars rounds to (-0 included).
+    if (plain_integer && int_digits <= 15) {
+      const auto value = static_cast<double>(integer);
+      return negative ? -value : value;
+    }
     // The token is a valid JSON number, which from_chars reads in place.
     const char* first = text_.data() + start;
     double value = 0.0;
@@ -524,55 +707,31 @@ void append_json(std::string& out, const JsonValue& v) {
   }
 }
 
-std::vector<std::string> string_array(const JsonValue& v, const char* what) {
-  std::vector<std::string> out;
-  detail::require_value(v.is_array(), what);
-  out.reserve(v.as_array().size());
-  for (const auto& e : v.as_array()) out.push_back(e.as_string());
-  return out;
-}
-
 }  // namespace
 
 JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
 }
 
+EtcDocument parse_etc_document(std::string_view text) {
+  return Parser(text).parse_etc_document();
+}
+
+core::EtcMatrix etc_from_json(std::string_view text) {
+  return Parser(text).parse_etc().take();
+}
+
+core::EtcMatrix EtcField::take() {
+  if (error) std::rethrow_exception(error);
+  return core::EtcMatrix(
+      linalg::Matrix::from_row_major(rows, cols, std::move(values)),
+      std::move(task_names), std::move(machine_names));
+}
+
 std::string to_json(const JsonValue& value) {
   std::string out;
   append_json(out, value);
   return out;
-}
-
-core::EtcMatrix etc_from_json(const JsonValue& value) {
-  const JsonValue* rows = &value;
-  std::vector<std::string> task_names, machine_names;
-  if (value.is_object()) {
-    rows = &value.at("etc");
-    if (const JsonValue* t = value.find("tasks"))
-      task_names = string_array(*t, "json etc: \"tasks\" must be an array");
-    if (const JsonValue* m = value.find("machines"))
-      machine_names =
-          string_array(*m, "json etc: \"machines\" must be an array");
-  }
-  detail::require_value(rows->is_array() && !rows->as_array().empty(),
-                        "json etc: expected a non-empty array of rows");
-  const auto& r = rows->as_array();
-  const std::size_t cols =
-      r.front().is_array() ? r.front().as_array().size() : 0;
-  detail::require_value(cols > 0, "json etc: rows must be non-empty arrays");
-  linalg::Matrix values(r.size(), cols);
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    const auto& row = r[i].as_array();
-    detail::require_dims(row.size() == cols, "json etc: ragged rows");
-    for (std::size_t j = 0; j < cols; ++j)
-      // The writer's NaN/infinity policy: a null entry is "cannot run".
-      values(i, j) = row[j].is_null()
-                         ? std::numeric_limits<double>::infinity()
-                         : row[j].as_number();
-  }
-  return core::EtcMatrix(std::move(values), std::move(task_names),
-                         std::move(machine_names));
 }
 
 LineFramer::LineFramer(std::size_t max_frame_bytes)
@@ -635,13 +794,18 @@ std::optional<LineFramer::Frame> LineFramer::next() {
   return f;
 }
 
+std::uint64_t integer_from_json(const JsonValue& value, double max,
+                                const char* what) {
+  detail::require_value(value.is_number(), what);
+  const double n = value.as_number();
+  detail::require_value(n >= 0 && n == std::floor(n) && n <= max, what);
+  return static_cast<std::uint64_t>(n);
+}
+
 namespace {
 
 std::size_t index_from_json(const JsonValue& v, const char* what) {
-  detail::require_value(v.is_number(), what);
-  const double n = v.as_number();
-  detail::require_value(n >= 0 && n == std::floor(n) && n <= 1e15, what);
-  return static_cast<std::size_t>(n);
+  return static_cast<std::size_t>(integer_from_json(v, 1e15, what));
 }
 
 }  // namespace
@@ -723,7 +887,8 @@ sched::ScheduleSummary schedule_summary_from_json(const JsonValue& value) {
                    ? std::numeric_limits<double>::infinity()
                    : value.at("makespan").as_number();
   for (const auto& e : value.at("assignment").as_array())
-    s.assignment.push_back(static_cast<std::size_t>(e.as_number()));
+    s.assignment.push_back(index_from_json(
+        e, "json schedule: assignment entries must be nonnegative integers"));
   // A load of null is an incapable assignment serialized under the
   // NaN/infinity policy; map it back to +infinity like the ETC reader.
   for (const auto& e : value.at("machine_loads").as_array())

@@ -12,7 +12,14 @@
 // round-trip through it), plus standard escapes and surrogate pairs. A
 // JsonValue is one std::variant (40 bytes); the parser gathers array
 // elements and object members on a stack it owns and moves each container
-// into storage sized exactly once. Numbers are read by std::from_chars
+// into storage sized exactly once. The rows of an ETC matrix — the bulk of
+// a service request — never become a tree: the same parser reads them
+// straight into one row-major buffer (parse_etc_document, etc_from_json),
+// with the generic path's syntax errors and byte offsets.
+//
+// Numbers: an integer token of at most 15 digits is converted exactly
+// through uint64_t (every such value is a double, so the result is the
+// correctly rounded one). Any other token is read by std::from_chars
 // straight from the input; strtod runs only when from_chars reports the
 // value out of range, so overflow (±inf) and underflow (0 or subnormal)
 // resolve exactly as strtod resolves them.
@@ -24,6 +31,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -126,6 +135,47 @@ JsonValue parse_json(std::string_view text);
 std::string to_json(const JsonValue& value);
 
 // ---------------------------------------------------------------------------
+// Typed ETC matrix reader.
+
+/// One ETC value read straight into a row-major buffer: to_json(EtcMatrix)
+/// output ({"tasks":[..],"machines":[..],"etc":[[..]]}, labels optional)
+/// or a bare array of rows. A null entry is +infinity ("cannot run"). The
+/// first shape or type error (a ragged row, a non-number, an empty matrix,
+/// a non-string label) is held rather than thrown, so that a caller can
+/// report its own checks first; take() throws it.
+struct EtcField {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::vector<double> values;  // row-major, rows * cols
+  std::vector<std::string> task_names;
+  std::vector<std::string> machine_names;
+  std::exception_ptr error;
+
+  /// Builds the matrix (EtcMatrix validates the entries), or throws the
+  /// held error: ValueError, or DimensionError for ragged rows.
+  core::EtcMatrix take();
+};
+
+/// A document whose top-level "etc" member (the first one; an object's
+/// lookup also finds the first) is read by the typed reader instead of
+/// into the tree.
+struct EtcDocument {
+  /// The document without its top-level "etc" members.
+  JsonValue root;
+  /// Set when the document is an object with an "etc" member.
+  std::optional<EtcField> etc;
+};
+
+/// parse_json for a request: the same syntax, errors and tree, except that
+/// the top-level "etc" member goes to the typed reader.
+EtcDocument parse_etc_document(std::string_view text);
+
+/// Reads an ETC matrix from to_json(EtcMatrix) output or a bare array of
+/// rows. Throws ValueError on malformed JSON and shape/type errors,
+/// DimensionError on ragged rows.
+core::EtcMatrix etc_from_json(std::string_view text);
+
+// ---------------------------------------------------------------------------
 // Resumable NDJSON framing.
 
 /// Incremental newline-delimited frame decoder: the per-connection parse
@@ -184,11 +234,6 @@ class LineFramer {
 // ---------------------------------------------------------------------------
 // Readers for the report types the writers above emit.
 
-/// Rebuilds an ETC matrix from to_json(EtcMatrix) output (or from a bare
-/// array-of-rows without labels); null entries map back to +infinity.
-/// Throws ValueError on shape/type errors.
-core::EtcMatrix etc_from_json(const JsonValue& value);
-
 /// Rebuilds a MeasureSet from to_json(MeasureSet) output.
 core::MeasureSet measure_set_from_json(const JsonValue& value);
 
@@ -218,6 +263,12 @@ std::vector<std::vector<double>> number_lists_from_json(
 
 /// Parses an array of nonnegative integer indices.
 std::vector<std::size_t> index_list_from_json(const JsonValue& value);
+
+/// Reads a nonnegative integer no larger than `max` (which must not exceed
+/// 2^53, so that every accepted value is exact). Throws ValueError with
+/// `what` for a non-number, a fraction, a negative value or one above `max`.
+std::uint64_t integer_from_json(const JsonValue& value, double max,
+                                const char* what);
 
 /// Rebuilds a ScheduleSummary from to_json(ScheduleSummary) output.
 sched::ScheduleSummary schedule_summary_from_json(const JsonValue& value);

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "simd/simd.hpp"
 
@@ -33,6 +34,17 @@ Matrix Matrix::from_row_major(std::size_t rows, std::size_t cols,
                        "from_row_major: buffer size != rows*cols");
   Matrix m(rows, cols);
   std::copy(data.begin(), data.end(), m.data_.begin());
+  return m;
+}
+
+Matrix Matrix::from_row_major(std::size_t rows, std::size_t cols,
+                              std::vector<double>&& data) {
+  detail::require_dims(data.size() == rows * cols,
+                       "from_row_major: buffer size != rows*cols");
+  Matrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.data_ = std::move(data);
   return m;
 }
 

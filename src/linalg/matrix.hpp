@@ -36,6 +36,9 @@ class Matrix {
   /// Builds a rows x cols matrix from a flat row-major buffer.
   static Matrix from_row_major(std::size_t rows, std::size_t cols,
                                std::span<const double> data);
+  /// The same, taking over `data` without a copy.
+  static Matrix from_row_major(std::size_t rows, std::size_t cols,
+                               std::vector<double>&& data);
 
   /// The n x n identity matrix.
   static Matrix identity(std::size_t n);

@@ -18,6 +18,11 @@ namespace {
 // entries from an older schema can never alias a new request's key.
 constexpr std::string_view kCacheSchemaTag = "svc-v1";
 
+// Bound on a request's relative deadline: far beyond any real one, and
+// small enough that now + deadline cannot overflow steady_clock's
+// nanosecond count.
+constexpr double kMaxDeadlineMs = 1e12;
+
 bool needs_matrix(RequestKind kind) noexcept {
   return kind == RequestKind::characterize || kind == RequestKind::measures ||
          kind == RequestKind::schedule || kind == RequestKind::whatif;
@@ -70,7 +75,8 @@ std::string whatif_result(const Request& request) {
 }  // namespace
 
 Request parse_request(const std::string& line) {
-  const io::JsonValue doc = io::parse_json(line);
+  io::EtcDocument parsed = io::parse_etc_document(line);
+  const io::JsonValue& doc = parsed.root;
   detail::require_value(doc.is_object(), "request must be a JSON object");
   Request request;
   if (const io::JsonValue* id = doc.find("id"))
@@ -87,15 +93,16 @@ Request parse_request(const std::string& line) {
     const double ms = d->as_number();
     detail::require_value(ms >= 0 && std::isfinite(ms),
                           "deadline_ms must be a nonnegative number");
+    detail::require_value(ms <= kMaxDeadlineMs,
+                          "deadline_ms must be at most 1e12 (about 31 years)");
     request.deadline =
         std::chrono::milliseconds(static_cast<std::int64_t>(ms));
   }
 
   if (needs_matrix(request.kind)) {
-    const io::JsonValue* etc = doc.find("etc");
-    detail::require_value(etc != nullptr,
+    detail::require_value(parsed.etc.has_value(),
                           "request needs an \"etc\" matrix");
-    request.etc = io::etc_from_json(*etc);
+    request.etc = parsed.etc->take();
   }
 
   if (request.kind == RequestKind::schedule) {
@@ -108,13 +115,13 @@ Request parse_request(const std::string& line) {
             sched::find_heuristic(request.heuristic) != nullptr,
         "schedule: unknown heuristic \"" + request.heuristic + "\"");
     if (const io::JsonValue* seed = doc.find("seed"))
-      request.seed = static_cast<std::uint64_t>(seed->as_number());
+      request.seed = io::integer_from_json(
+          *seed, 0x1p53, "schedule: seed must be an integer in [0, 2^53]");
     if (const io::JsonValue* tasks = doc.find("tasks")) {
+      const double count = static_cast<double>(request.etc->task_count());
       for (const auto& t : tasks->as_array()) {
-        const double v = t.as_number();
-        detail::require_value(
-            v >= 0 && v < static_cast<double>(request.etc->task_count()),
-            "schedule: task index out of range");
+        const std::uint64_t v = io::integer_from_json(
+            t, count - 1, "schedule: task index out of range");
         request.tasks.push_back(static_cast<std::size_t>(v));
       }
       detail::require_value(!request.tasks.empty(),
@@ -124,11 +131,10 @@ Request parse_request(const std::string& line) {
 
   if (request.kind == RequestKind::subscribe) {
     // Subscribe carries a matrix but must never be cacheable (it mutates
-    // session state), so it is parsed here rather than via needs_matrix().
-    const io::JsonValue* etc = doc.find("etc");
-    detail::require_value(etc != nullptr,
+    // session state), so it is read here rather than via needs_matrix().
+    detail::require_value(parsed.etc.has_value(),
                           "subscribe needs an \"etc\" matrix");
-    request.etc = io::etc_from_json(*etc);
+    request.etc = parsed.etc->take();
     if (const io::JsonValue* budget = doc.find("error_budget")) {
       const double v = budget->as_number();
       detail::require_value(v >= 0 && std::isfinite(v),

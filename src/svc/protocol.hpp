@@ -76,7 +76,8 @@ struct Request {
   sched::TaskList tasks;
   /// `schedule`: heuristic token — find_heuristic()'s tokens plus "ga".
   std::string heuristic;
-  /// `schedule` with "ga": GA seed (deterministic for a fixed seed).
+  /// `schedule` with "ga": GA seed (deterministic for a fixed seed), an
+  /// integer in [0, 2^53].
   std::uint64_t seed = 1;
   /// `whatif`: which removals to evaluate.
   bool whatif_machines = true;
@@ -108,7 +109,10 @@ struct Request {
 
 /// Parses and validates one request line. Throws hetero::Error (surfaced
 /// as a 400 response) on malformed JSON, unknown kind, a missing/invalid
-/// matrix, an unknown heuristic, or out-of-range task indices.
+/// matrix, an unknown heuristic, out-of-range task indices or seed, or a
+/// deadline above 1e12 ms. The matrix is read straight into the Request
+/// (io::parse_etc_document); its shape and type errors are reported after
+/// the kind and deadline checks.
 Request parse_request(const std::string& line);
 
 /// True when a kind's result may be served from the result cache (`stats`

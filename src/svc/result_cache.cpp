@@ -7,31 +7,22 @@
 
 namespace hetero::svc {
 
-namespace {
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-}
-
-ContentHasher& ContentHasher::add_bytes(const void* data,
-                                        std::size_t size) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash_ ^= p[i];
-    hash_ *= kFnvPrime;
-  }
-  return *this;
-}
-
-ContentHasher& ContentHasher::add_u64(std::uint64_t v) noexcept {
-  return add_bytes(&v, sizeof v);
-}
-
-ContentHasher& ContentHasher::add_double(double v) noexcept {
-  return add_u64(std::bit_cast<std::uint64_t>(v));
-}
-
 ContentHasher& ContentHasher::add_string(std::string_view s) noexcept {
   add_u64(s.size());
-  return add_bytes(s.data(), s.size());
+  // Whole words, then the tail zero-padded: the length above tells
+  // "a" from "a\0".
+  std::size_t at = 0;
+  for (; at + 8 <= s.size(); at += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, s.data() + at, 8);
+    add_u64(word);
+  }
+  if (at < s.size()) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, s.data() + at, s.size() - at);
+    add_u64(word);
+  }
+  return *this;
 }
 
 ResultCache::ResultCache(std::size_t shards, std::size_t capacity_per_shard)

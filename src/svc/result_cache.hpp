@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -25,19 +26,39 @@
 
 namespace hetero::svc {
 
-/// Incremental FNV-1a 64-bit content hasher. Field boundaries are length-
-/// prefixed by the add_* helpers, so concatenation ambiguity cannot alias
-/// two different requests onto one key.
+/// Incremental 64-bit content hasher, a word at a time: each 8-byte word
+/// goes through a full-avalanche mixer and is folded into the state by an
+/// odd multiply, so the digest depends on word order. The mix of a word
+/// does not depend on the state, so consecutive words overlap in the
+/// pipeline and only the xor-multiply chain is serial. Strings are
+/// length-prefixed, so concatenation ambiguity cannot alias two different
+/// requests onto one key.
 class ContentHasher {
  public:
-  ContentHasher& add_bytes(const void* data, std::size_t size) noexcept;
-  ContentHasher& add_u64(std::uint64_t v) noexcept;
-  ContentHasher& add_double(double v) noexcept;  // bit pattern, so -0 != +0
+  ContentHasher& add_u64(std::uint64_t v) noexcept {
+    hash_ = (hash_ ^ mix(v)) * kFold;
+    return *this;
+  }
+  ContentHasher& add_double(double v) noexcept {  // bit pattern: -0 != +0
+    return add_u64(std::bit_cast<std::uint64_t>(v));
+  }
   ContentHasher& add_string(std::string_view s) noexcept;
-  std::uint64_t digest() const noexcept { return hash_; }
+  /// Mixed once more, so that the low bits (the shard index) depend on
+  /// every bit of every word.
+  std::uint64_t digest() const noexcept { return mix(hash_); }
 
  private:
-  std::uint64_t hash_ = 1469598103934665603ull;  // FNV offset basis
+  static constexpr std::uint64_t kFold = 0x9E3779B97F4A7C15ull;  // odd
+
+  /// SplitMix64's finalizer: a bijection in which every input bit flips
+  /// each output bit with probability ~1/2.
+  static constexpr std::uint64_t mix(std::uint64_t x) noexcept {
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+  }
+
+  std::uint64_t hash_ = 0x6A09E667F3BCC908ull;
 };
 
 class ResultCache {
@@ -90,7 +111,7 @@ class ResultCache {
   };
 
   Shard& shard_for(std::uint64_t key) noexcept {
-    // The low bits of an FNV digest are well mixed; mask selects the shard.
+    // The digest's low bits are well mixed; the mask selects the shard.
     return *shards_[key & shard_mask_];
   }
 

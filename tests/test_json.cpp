@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/measures.hpp"
@@ -174,7 +176,7 @@ TEST(JsonRoundTrip, EtcMatrixWithInfinityPolicy) {
   EtcMatrix etc(Matrix{{1, std::numeric_limits<double>::infinity()},
                        {2, 0.1}},
                 {"a", "b"}, {"x", "y"});
-  const auto back = io::etc_from_json(io::parse_json(io::to_json(etc)));
+  const auto back = io::etc_from_json(io::to_json(etc));
   EXPECT_EQ(back.task_count(), 2u);
   EXPECT_EQ(back.machine_count(), 2u);
   EXPECT_EQ(back.task_names(), etc.task_names());
@@ -186,7 +188,7 @@ TEST(JsonRoundTrip, EtcMatrixWithInfinityPolicy) {
 }
 
 TEST(JsonRoundTrip, EtcMatrixBareRows) {
-  const auto etc = io::etc_from_json(io::parse_json("[[1,2],[3,4],[5,6]]"));
+  const auto etc = io::etc_from_json("[[1,2],[3,4],[5,6]]");
   EXPECT_EQ(etc.task_count(), 3u);
   EXPECT_EQ(etc.machine_count(), 2u);
   EXPECT_DOUBLE_EQ(etc(2, 1), 6.0);
@@ -217,6 +219,17 @@ TEST(JsonRoundTrip, ScheduleSummary) {
   ASSERT_EQ(back.machine_loads.size(), summary.machine_loads.size());
   for (std::size_t m = 0; m < back.machine_loads.size(); ++m)
     EXPECT_EQ(back.machine_loads[m], summary.machine_loads[m]);
+}
+
+TEST(JsonRoundTrip, ScheduleSummaryRejectsNonIndexAssignment) {
+  for (const char* entry : {"0.5", "-1", "1e999", "\"1\"", "1e16"}) {
+    const std::string text =
+        std::string("{\"heuristic\":\"h\",\"makespan\":1,\"assignment\":[0,") +
+        entry + "],\"machine_loads\":[1]}";
+    EXPECT_THROW(io::schedule_summary_from_json(io::parse_json(text)),
+                 hetero::ValueError)
+        << entry;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -316,6 +329,47 @@ TEST(JsonParse, NumbersMatchStrtod) {
             std::numeric_limits<double>::denorm_min());
   EXPECT_TRUE(std::signbit(io::parse_json("-0").as_number()));
   EXPECT_FALSE(std::signbit(io::parse_json("0").as_number()));
+}
+
+// Integer tokens of at most 15 digits skip from_chars; the result must be
+// the same double, bit for bit, on both sides of the 15/16-digit boundary
+// and in an ETC row (the typed reader's path).
+TEST(JsonParse, IntegerFastPathMatchesFromChars) {
+  std::vector<std::string> tokens = {
+      "0",  "-0", "7", "-7", "999999999999999", "-999999999999999",
+      "100000000000000", "1000000000000000", "-1000000000000000",
+      "9007199254740992", "9007199254740993", "18446744073709551615",
+      "18446744073709551616", "99999999999999999999"};
+  std::mt19937_64 rng(1408);
+  for (int i = 0; i < 100000; ++i) {
+    std::string t = rng() % 2 ? "-" : "";
+    t += static_cast<char>('1' + rng() % 9);
+    for (std::size_t d = rng() % 20; d > 0; --d)
+      t += static_cast<char>('0' + rng() % 10);
+    tokens.push_back(t);
+  }
+  std::size_t mismatches = 0;
+  for (const std::string& t : tokens) {
+    double expected = 1.0;
+    ASSERT_EQ(std::from_chars(t.data(), t.data() + t.size(), expected).ec,
+              std::errc())
+        << t;
+    const double got = io::parse_json(t).as_number();
+    const auto doc = io::parse_etc_document("{\"etc\":[[" + t + "]]}");
+    ASSERT_TRUE(doc.etc.has_value());
+    ASSERT_EQ(doc.etc->values.size(), 1u);
+    const auto bits = std::bit_cast<std::uint64_t>(expected);
+    if (std::bit_cast<std::uint64_t>(got) != bits ||
+        std::bit_cast<std::uint64_t>(doc.etc->values[0]) != bits) {
+      if (mismatches++ < 5)
+        ADD_FAILURE() << t << ": got " << printf17g(got) << " / "
+                      << printf17g(doc.etc->values[0]) << ", from_chars gives "
+                      << printf17g(expected);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_TRUE(std::signbit(io::parse_etc_document("{\"etc\":[[-0]]}")
+                               .etc->values[0]));
 }
 
 TEST(JsonParse, NumberTokenLengthLimit) {
@@ -485,6 +539,208 @@ TEST(JsonParseStack, WriteParseWriteIsAFixpoint) {
     const std::string once = io::to_json(random_tree(rng, 0));
     const std::string twice = io::to_json(io::parse_json(once));
     ASSERT_EQ(twice, once) << "tree " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Typed ETC reader. The reference reads the parse_json tree, as the
+// library did before the matrix stopped going through a tree; both must
+// agree on every matrix bit, every error message and its type.
+
+EtcMatrix reference_etc(const io::JsonValue& value) {
+  const io::JsonValue* rows = &value;
+  std::vector<std::string> task_names, machine_names;
+  const auto strings = [](const io::JsonValue& v, const char* what) {
+    hetero::detail::require_value(v.is_array(), what);
+    std::vector<std::string> out;
+    for (const auto& e : v.as_array()) out.push_back(e.as_string());
+    return out;
+  };
+  if (value.is_object()) {
+    rows = &value.at("etc");
+    if (const io::JsonValue* t = value.find("tasks"))
+      task_names = strings(*t, "json etc: \"tasks\" must be an array");
+    if (const io::JsonValue* m = value.find("machines"))
+      machine_names = strings(*m, "json etc: \"machines\" must be an array");
+  }
+  hetero::detail::require_value(rows->is_array() && !rows->as_array().empty(),
+                                "json etc: expected a non-empty array of rows");
+  const auto& r = rows->as_array();
+  const std::size_t cols =
+      r.front().is_array() ? r.front().as_array().size() : 0;
+  hetero::detail::require_value(cols > 0,
+                                "json etc: rows must be non-empty arrays");
+  Matrix values(r.size(), cols);
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    const auto& row = r[i].as_array();
+    hetero::detail::require_dims(row.size() == cols, "json etc: ragged rows");
+    for (std::size_t j = 0; j < cols; ++j)
+      values(i, j) = row[j].is_null() ? std::numeric_limits<double>::infinity()
+                                      : row[j].as_number();
+  }
+  return EtcMatrix(std::move(values), std::move(task_names),
+                   std::move(machine_names));
+}
+
+/// What a reader made of a text: the matrix's bits and labels, or the
+/// error's type and message.
+template <typename Read>
+std::string outcome(Read read) {
+  try {
+    const EtcMatrix etc = read();
+    std::string out = "ok";
+    const auto field = [&out](const std::string& f) {
+      out.append(" ").append(f);
+    };
+    field(std::to_string(etc.task_count()));
+    for (const double v : etc.values().data())
+      field(std::to_string(std::bit_cast<std::uint64_t>(v)));
+    for (const auto& n : etc.task_names()) field(n);
+    for (const auto& n : etc.machine_names()) field(n);
+    return out;
+  } catch (const hetero::DimensionError& e) {
+    return std::string("DimensionError: ").append(e.what());
+  } catch (const hetero::ValueError& e) {
+    return std::string("ValueError: ").append(e.what());
+  }
+}
+
+std::string typed_outcome(const std::string& text) {
+  return outcome([&] { return io::etc_from_json(text); });
+}
+
+std::string reference_outcome(const std::string& text) {
+  return outcome([&] { return reference_etc(io::parse_json(text)); });
+}
+
+TEST(JsonEtcReader, ShapeAndTypeErrorsComeInTreeOrder) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"[]", "ValueError: json etc: expected a non-empty array of rows"},
+      {"\"x\"", "ValueError: json etc: expected a non-empty array of rows"},
+      {"{\"etc\":{\"etc\":[[1]]}}",
+       "ValueError: json etc: expected a non-empty array of rows"},
+      {"[[]]", "ValueError: json etc: rows must be non-empty arrays"},
+      {"[1,[2]]", "ValueError: json etc: rows must be non-empty arrays"},
+      {"[[1],2]", "ValueError: json: value is not an array"},
+      {"[[1,2],[3]]", "DimensionError: json etc: ragged rows"},
+      // A row's length is checked before its entries, and a row's entries
+      // before the next row's length.
+      {"[[1,2],[3,\"x\",4]]", "DimensionError: json etc: ragged rows"},
+      {"[[1,true],[3]]", "ValueError: json: value is not a number"},
+      {"{\"tasks\":[\"a\"]}",
+       "ValueError: json: missing object member \"etc\""},
+      // Labels are checked before the rows.
+      {"{\"etc\":[[1,\"x\"]],\"tasks\":5}",
+       "ValueError: json etc: \"tasks\" must be an array"},
+      {"{\"etc\":[],\"machines\":[2]}",
+       "ValueError: json: value is not a string"},
+      {"{\"etc\":[[1]],\"tasks\":[\"a\",\"b\"]}",
+       "DimensionError: EtcMatrix/EcsMatrix: label count mismatch"},
+      {"[[1,-2]]", "ValueError: EtcMatrix: entries must be positive or +inf"},
+  };
+  for (const auto& [text, expected] : cases) {
+    EXPECT_EQ(typed_outcome(text), expected) << text;
+    EXPECT_EQ(reference_outcome(text), expected) << text;
+  }
+}
+
+TEST(JsonEtcReader, FirstMemberOfANameWins) {
+  const std::string text =
+      "{\"etc\":[[1,2]],\"tasks\":[\"a\"],\"etc\":[[3]],\"tasks\":7}";
+  EXPECT_EQ(typed_outcome(text), reference_outcome(text));
+  EXPECT_EQ(io::etc_from_json(text).machine_count(), 2u);
+  const auto doc =
+      io::parse_etc_document("{\"etc\":[[1,2]],\"id\":3,\"etc\":[[3]]}");
+  ASSERT_TRUE(doc.etc.has_value());
+  EXPECT_EQ(doc.etc->values, (std::vector<double>{1, 2}));
+  EXPECT_EQ(io::to_json(doc.root), "{\"id\":3}");
+  EXPECT_FALSE(io::parse_etc_document("{\"id\":3}").etc.has_value());
+  EXPECT_FALSE(io::parse_etc_document("[{\"etc\":[[1]]}]").etc.has_value());
+}
+
+/// One seeded edit: a bit flip, an inserted token, deleted bytes, or a
+/// truncation.
+std::string mutate_text(std::string text, std::mt19937_64& rng) {
+  static const std::string kTokens[] = {
+      ",", "[", "]",    "{",       "}",    ":",  "-", ".",
+      "e", "null", "\"x\"", "true", "[]", "0", std::string(130, '[')};
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  if (text.empty()) return kTokens[pick(std::size(kTokens))];
+  switch (rng() % 4) {
+    case 0:
+      text[pick(text.size())] ^= static_cast<char>(1 << pick(7));
+      break;
+    case 1:
+      text.insert(pick(text.size() + 1), kTokens[pick(std::size(kTokens))]);
+      break;
+    case 2: text.erase(pick(text.size()), 1 + pick(4)); break;
+    default: text.resize(pick(text.size())); break;
+  }
+  return text;
+}
+
+// The typed reader and the tree reader agree on seeded mutations of both
+// matrix forms: syntax errors (message and byte offset), shape and type
+// errors, and the bits of every accepted matrix.
+TEST(JsonEtcReader, MatchesTheTreeReaderOnMutatedText) {
+  const EtcMatrix labelled(
+      Matrix{{1.5, std::numeric_limits<double>::infinity()}, {3, 0.1},
+             {2e-3, 7}},
+      {"a", "b\"\t", "c"}, {"x", "y"});
+  const std::vector<std::string> bases = {
+      io::to_json(labelled), "[[3,1.5,9],[2,4e0,6],[7.25,null,1]]",
+      "{\"machines\":[\"p\"],\"etc\":[[12],[-0.0],[1e999]],\"x\":{}}"};
+  std::mt19937_64 rng(1409);
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < 6000; ++i) {
+    std::string text = bases[i % bases.size()];
+    for (std::size_t edits = 1 + rng() % 3; edits > 0; --edits)
+      text = mutate_text(std::move(text), rng);
+    const std::string expected = reference_outcome(text);
+    ASSERT_EQ(typed_outcome(text), expected) << text;
+    if (expected.rfind("ok", 0) == 0) ++accepted;
+  }
+  EXPECT_GT(accepted, 100u);  // the success path is reached too
+}
+
+// The request form: parse_etc_document fails exactly where parse_json
+// fails, and otherwise keeps every top-level member but "etc" in the tree.
+TEST(JsonEtcReader, DocumentMatchesParseJsonOnMutatedText) {
+  const std::string base =
+      "{\"id\":[1,{\"etc\":2}],\"kind\":\"measures\",\"etc\":[[1,2],[3,null]],"
+      "\"deadline_ms\":5,\"etc\":{\"etc\":[[4]]}}";
+  std::mt19937_64 rng(1410);
+  for (int i = 0; i < 4000; ++i) {
+    std::string text = base;
+    for (std::size_t edits = 1 + rng() % 3; edits > 0; --edits)
+      text = mutate_text(std::move(text), rng);
+    std::string expected, got;
+    try {
+      const io::JsonValue tree = io::parse_json(text);
+      io::JsonValue::Object kept;
+      if (tree.is_object())
+        for (const auto& member : tree.as_object())
+          if (member.first != "etc") kept.push_back(member);
+      const io::JsonValue* etc = tree.find("etc");
+      expected = io::to_json(tree.is_object()
+                                 ? io::JsonValue::make_object(kept)
+                                 : tree) +
+                 " | " +
+                 (etc ? outcome([&] { return reference_etc(*etc); })
+                      : "absent");
+    } catch (const hetero::ValueError& e) {
+      expected = e.what();
+    }
+    try {
+      io::EtcDocument doc = io::parse_etc_document(text);
+      got = io::to_json(doc.root) + " | " +
+            (doc.etc ? outcome([&] { return doc.etc->take(); }) : "absent");
+    } catch (const hetero::ValueError& e) {
+      got = e.what();
+    }
+    ASSERT_EQ(got, expected) << text;
   }
 }
 

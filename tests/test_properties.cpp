@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <type_traits>
 
 #include "core/measures.hpp"
 #include "core/performance.hpp"
@@ -22,10 +24,14 @@ using hetero::core::measure_set;
 using hetero::core::standardize;
 using hetero::linalg::Matrix;
 
+// gtest names each case by the bytes of its parameter, so the parameter
+// must have no padding (whose bytes are indeterminate) for the ctest names
+// to be the same in every build.
 struct Env {
   std::size_t tasks, machines;
-  unsigned seed;
+  std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<Env>);
 
 Matrix random_positive(const Env& e) {
   std::mt19937 rng(e.seed);

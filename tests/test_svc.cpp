@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <limits>
@@ -110,6 +111,65 @@ TEST(SvcCacheKey, LabelsParticipate) {
   a.etc = EtcMatrix(values, {"a", "b"}, {"x", "y"});
   b.etc = EtcMatrix(values, {"a", "b"}, {"x", "z"});
   EXPECT_NE(svc::cache_key(a), svc::cache_key(b));
+}
+
+// Keys tell apart every input the result depends on, down to the bits of
+// one entry. -0 cannot reach a request (entries must be positive), so the
+// sign of zero is checked on the hasher itself.
+TEST(SvcCacheKey, Sensitivity) {
+  const auto key = [](const Matrix& values) {
+    svc::Request r;
+    r.kind = svc::RequestKind::characterize;
+    r.etc = EtcMatrix(values);
+    return svc::cache_key(r);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> data = {1, 2, 3, 4, 5, 6};
+  const Matrix a{{1, 2, 3}, {4, 5, 6}};
+  EXPECT_NE(key(a), key(Matrix{{2, 1, 3}, {4, 5, 6}}));
+  EXPECT_NE(key(a), key(Matrix{{1, 2, 3}, {4, 6, 5}}));
+  EXPECT_NE(key(Matrix::from_row_major(2, 3, data)),
+            key(Matrix::from_row_major(3, 2, data)));
+  EXPECT_NE(key(Matrix{{inf, 2}, {3, 4}}),
+            key(Matrix{{std::numeric_limits<double>::max(), 2}, {3, 4}}));
+  EXPECT_NE(key(Matrix{{1, 2}, {3, 4}}),
+            key(Matrix{{1, std::nextafter(2.0, 3.0)}, {3, 4}}));
+  EXPECT_NE(svc::ContentHasher().add_double(-0.0).digest(),
+            svc::ContentHasher().add_double(0.0).digest());
+  EXPECT_NE(svc::ContentHasher().add_u64(1).add_u64(2).digest(),
+            svc::ContentHasher().add_u64(2).add_u64(1).digest());
+  EXPECT_NE(svc::ContentHasher().add_string("ab").add_string("c").digest(),
+            svc::ContentHasher().add_string("a").add_string("bc").digest());
+  EXPECT_NE(svc::ContentHasher().add_string("a").digest(),
+            svc::ContentHasher().add_string(std::string("a\0", 2)).digest());
+  EXPECT_NE(svc::ContentHasher().add_string("0123456789").digest(),
+            svc::ContentHasher().add_string("0123456788").digest());
+
+  svc::Request base;
+  base.kind = svc::RequestKind::schedule;
+  base.etc = EtcMatrix(Matrix{{1, 2}, {3, 4}}, {"a", "b"}, {"x", "y"});
+  base.heuristic = "min_min";
+  const auto differs = [&](const char* what, auto change) {
+    svc::Request other = base;
+    change(other);
+    EXPECT_NE(svc::cache_key(base), svc::cache_key(other)) << what;
+  };
+  differs("task label", [](svc::Request& r) {
+    r.etc = EtcMatrix(Matrix{{1, 2}, {3, 4}}, {"a", "c"}, {"x", "y"});
+  });
+  differs("machine label", [](svc::Request& r) {
+    r.etc = EtcMatrix(Matrix{{1, 2}, {3, 4}}, {"a", "b"}, {"y", "x"});
+  });
+  differs("kind", [](svc::Request& r) { r.kind = svc::RequestKind::measures; });
+  differs("heuristic", [](svc::Request& r) { r.heuristic = "max_min"; });
+  differs("seed", [](svc::Request& r) { r.seed = 2; });
+  differs("tasks", [](svc::Request& r) { r.tasks = {0, 1}; });
+  base.tasks = {0, 1};
+  differs("task order", [](svc::Request& r) { r.tasks = {1, 0}; });
+  base.kind = svc::RequestKind::whatif;
+  differs("whatif machines",
+          [](svc::Request& r) { r.whatif_machines = false; });
+  differs("whatif tasks", [](svc::Request& r) { r.whatif_tasks = false; });
 }
 
 // ---------------------------------------------------------------------------
@@ -324,6 +384,65 @@ TEST(SvcProtocol, RejectsMalformedRequests) {
       svc::parse_request("{\"kind\":\"measures\",\"deadline_ms\":-1,"
                          "\"etc\":[[1,2],[3,4]]}"),
       hetero::Error);
+}
+
+/// The 400 message parse_request gives for `line`, or "ok".
+std::string request_error(const std::string& line) {
+  try {
+    svc::parse_request(line);
+  } catch (const hetero::Error& e) {
+    return e.what();
+  }
+  return "ok";
+}
+
+TEST(SvcProtocol, DeadlineIsBounded) {
+  const auto line = [](const std::string& ms) {
+    return "{\"id\":1,\"kind\":\"measures\",\"deadline_ms\":" + ms +
+           ",\"etc\":[[1,2],[3,4]]}";
+  };
+  const std::string bound = "deadline_ms must be at most 1e12 (about 31 years)";
+  EXPECT_EQ(request_error(line("1e30")), bound);
+  EXPECT_EQ(request_error(line("1000000000001")), bound);
+  EXPECT_EQ(request_error(line("-1")),
+            "deadline_ms must be a nonnegative number");
+  EXPECT_EQ(svc::parse_request(line("1e12")).deadline->count(),
+            1000000000000);
+  // End to end: a huge deadline is a bad request, not an expired one, and
+  // the largest accepted one leaves plenty of time.
+  svc::Server server;
+  EXPECT_NE(server.handle(line("1e30")).find("\"code\":400"),
+            std::string::npos);
+  EXPECT_NE(server.handle(line("1e12")).find("\"ok\":true"),
+            std::string::npos);
+}
+
+TEST(SvcProtocol, ScheduleSeedMustBeAnExactInteger) {
+  const auto line = [](const std::string& seed) {
+    return "{\"kind\":\"schedule\",\"heuristic\":\"ga\",\"seed\":" + seed +
+           ",\"etc\":[[1,2],[3,4]]}";
+  };
+  for (const char* bad : {"-1", "1e999", "0.5", "\"7\"", "9007199254740994"})
+    EXPECT_EQ(request_error(line(bad)),
+              "schedule: seed must be an integer in [0, 2^53]")
+        << bad;
+  EXPECT_EQ(svc::parse_request(line("0")).seed, 0u);
+  EXPECT_EQ(svc::parse_request(line("9007199254740992")).seed,
+            9007199254740992u);
+}
+
+TEST(SvcProtocol, ScheduleTasksMustBeIndices) {
+  const auto line = [](const std::string& tasks) {
+    return "{\"kind\":\"schedule\",\"heuristic\":\"min_min\",\"tasks\":" +
+           tasks + ",\"etc\":[[1,2],[3,4]]}";
+  };
+  for (const char* bad : {"[0.5,1.9]", "[-1]", "[2]", "[1e999]", "[null]"})
+    EXPECT_EQ(request_error(line(bad)), "schedule: task index out of range")
+        << bad;
+  EXPECT_EQ(request_error(line("[]")),
+            "schedule: \"tasks\" must not be empty");
+  EXPECT_EQ(svc::parse_request(line("[1,0,1]")).tasks,
+            (hetero::sched::TaskList{1, 0, 1}));
 }
 
 TEST(SvcProtocol, ComputeSchedulesMatchDirectHeuristics) {
@@ -885,6 +1004,118 @@ TEST(SvcGolden, SessionResponsesMatchRecordedBytes) {
       {112, 0xefb4a72c02a1b219ull},
   };
   expect_golden(responses, golden);
+}
+
+/// Base lines for the mutation corpus: both matrix forms, "etc" before and
+/// after "kind", a duplicate "etc" (the first wins), "etc" on a kind that
+/// ignores it, and a subscribe (same matrix reader, session path).
+std::vector<std::string> mutation_bases() {
+  const EtcMatrix labelled = golden_matrix(6, 4, 1406);
+  const std::string rows = "[[12.5,3,7e1,null],[4,-0.25,1e-3,8],[0,2,3,4]]";
+  return {
+      "{\"id\":1,\"kind\":\"measures\",\"etc\":[[3,1.5,9],[2,4e0,6],"
+      "[7.25,null,1]]}",
+      request_line(labelled, "characterize", ",\"id\":2"),
+      "{\"etc\":[[120,60,30],[45,50,48],[300,80,240]],\"kind\":\"measures\","
+      "\"id\":3}",
+      "{\"id\":4,\"kind\":\"measures\",\"etc\":[[1,2],[3,4]],\"etc\":" + rows +
+          "}",
+      "{\"id\":5,\"kind\":\"stats\",\"etc\":" + rows + "}",
+      "{\"id\":6,\"kind\":\"whatif\",\"etc\":{\"machines\":[\"a\",\"b\"],"
+      "\"etc\":[[1,2],[3,4],[5,6]],\"tasks\":[\"x\",\"y\",\"z\"]}}",
+      "{\"id\":7,\"kind\":\"subscribe\",\"etc\":[[5,2.5],[1,3]]}",
+  };
+}
+
+/// One seeded mutation: a bit flip, an inserted or deleted token, an
+/// element replaced by another value, or a truncation.
+std::string mutate(std::string line, std::uint64_t& s) {
+  const auto next = [&s](std::uint64_t n) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::size_t>((s >> 33) % n);
+  };
+  static const std::string kTokens[] = {
+      ",", "[", "]", "-", ".", "e", "null", "\"x\"", std::string(130, '[')};
+  // Stand-ins for one element: they reach the matrix's semantic errors (a
+  // non-number, an empty or non-array row, a non-string label) without
+  // breaking the document's syntax.
+  static const std::string kValues[] = {
+      "\"x\"", "[]", "{}", "true", "null", "[1]", "-0", "1e999", "0.5e-1"};
+  const auto pick = [&](const auto& list) -> const std::string& {
+    return list[next(std::size(list))];
+  };
+  switch (line.empty() ? 1 : next(5)) {
+    case 0: {
+      const std::size_t at = next(line.size());
+      line[at] = static_cast<char>(line[at] ^ (1 << next(8)));
+      break;
+    }
+    case 1: line.insert(next(line.size() + 1), pick(kTokens)); break;
+    case 2: {
+      const std::string& token = pick(kTokens);
+      std::vector<std::size_t> hits;
+      for (std::size_t at = line.find(token); at != std::string::npos;
+           at = line.find(token, at + 1))
+        hits.push_back(at);
+      if (hits.empty())
+        line.erase(next(line.size()), 1);
+      else
+        line.erase(hits[next(hits.size())], token.size());
+      break;
+    }
+    case 3: {
+      // Replace one element, found from a random byte on: a number, an
+      // innermost [...] row, or a quoted string.
+      static const std::string_view kStarts[] = {"0123456789", "[", "\""};
+      const std::size_t what = next(3);
+      const std::size_t at =
+          line.find_first_of(kStarts[what], next(line.size()));
+      if (at == std::string::npos) break;
+      std::size_t end = at + 1;
+      if (what == 0)
+        end = line.find_first_not_of("0123456789.-+e", at);
+      else if (what == 1)
+        end = line.find_first_of("[]", at + 1);
+      else
+        end = line.find('"', at + 1);
+      if (end == std::string::npos || (what == 1 && line[end] != ']')) break;
+      if (what != 0) ++end;
+      line.replace(at, end - at, pick(kValues));
+      break;
+    }
+    default: line.resize(next(line.size())); break;
+  }
+  return line;
+}
+
+// ~2000 seeded mutations of request lines that carry a matrix, reduced to
+// one (count, total length, FNV-1a 64) over every Server::handle response.
+// Pins the reader's syntax-error offsets and messages, and the order in
+// which matrix errors and the other request errors are reported.
+TEST(SvcGolden, MutatedMatrixLinesMatchRecordedBytes) {
+  svc::Server server;
+  const std::vector<std::string> bases = mutation_bases();
+  std::uint64_t s = 1407;
+  std::size_t count = 0, total = 0;
+  std::string all;
+  for (std::size_t b = 0; b < bases.size(); ++b) {
+    for (int k = 0; k < 300; ++k) {
+      std::string line = mutate(bases[b], s);
+      if (k % 3 == 0) line = mutate(std::move(line), s);
+      svc::StreamSession session;
+      std::string response = server.handle(line, &session);
+      // A stats payload reports live counters; keep only that it succeeded.
+      if (b == 4 && response.find(",\"ok\":true,") != std::string::npos)
+        response = "stats ok";
+      ++count;
+      total += response.size();
+      all += response;
+      all += '\n';
+    }
+  }
+  EXPECT_EQ(count, 2100u);
+  EXPECT_EQ(total, 291257u);
+  EXPECT_EQ(fnv1a64(all), 0x02d2f53c7e96e426ull);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <type_traits>
 
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/matrix.hpp"
@@ -16,7 +18,7 @@ using hetero::ValueError;
 namespace lin = hetero::linalg;
 using lin::Matrix;
 
-Matrix random_matrix(std::size_t rows, std::size_t cols, unsigned seed) {
+Matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> dist(-2.0, 2.0);
   Matrix m(rows, cols);
@@ -93,10 +95,14 @@ TEST(Svd, ScalingScalesSingularValues) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(b[i], 3 * a[i], 1e-9);
 }
 
+// gtest names each case by the bytes of its parameter, so the parameter
+// must have no padding (whose bytes are indeterminate) for the ctest names
+// to be the same in every build.
 struct SvdShape {
   std::size_t rows, cols;
-  unsigned seed;
+  std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<SvdShape>);
 
 class SvdRandomized : public ::testing::TestWithParam<SvdShape> {};
 

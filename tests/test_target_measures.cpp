@@ -50,10 +50,15 @@ TEST(GenerateWithMeasures, ValidatesInputs) {
   EXPECT_THROW(eg::generate_with_measures({0.5, 0.5, 0.0}, opts), ValueError);
 }
 
+// gtest names each case by the bytes of its parameter, so the parameter
+// must have no padding (whose bytes are indeterminate) for the ctest names
+// to be the same in every build.
 struct TargetCase {
   double mph, tdh, tma;
   std::size_t tasks, machines;
 };
+static_assert(sizeof(TargetCase) ==
+              3 * sizeof(double) + 2 * sizeof(std::size_t));
 
 class TargetSweep : public ::testing::TestWithParam<TargetCase> {};
 
