@@ -48,24 +48,31 @@ EtcMatrix::EtcMatrix(linalg::Matrix values, std::vector<std::string> task_names,
       machine_names_(
           resolve_labels(std::move(machine_names), values_.cols(), 'm')) {
   detail::require_dims(!values_.empty(), "EtcMatrix: empty matrix");
-  for (std::size_t i = 0; i < values_.rows(); ++i)
-    for (std::size_t j = 0; j < values_.cols(); ++j) {
-      const double x = values_(i, j);
-      detail::require_value(x > 0.0 && !std::isnan(x),
-                            "EtcMatrix: entries must be positive or +inf");
-    }
-  for (std::size_t i = 0; i < values_.rows(); ++i) {
+  // One row-major pass. A bad entry anywhere outranks a dead row, which
+  // outranks a dead column, so the flags are only judged after the pass.
+  const std::size_t rows = values_.rows();
+  const std::size_t cols = values_.cols();
+  const double* p = values_.data().data();
+  bool bad_entry = false;
+  bool dead_row = false;
+  std::vector<unsigned char> useful(cols, 0);
+  for (std::size_t i = 0; i < rows; ++i, p += cols) {
     bool runnable = false;
-    for (std::size_t j = 0; j < values_.cols(); ++j)
-      if (std::isfinite(values_(i, j))) runnable = true;
-    detail::require_value(runnable, "EtcMatrix: task runs on no machine");
+    for (std::size_t j = 0; j < cols; ++j) {
+      const double x = p[j];
+      bad_entry |= !(x > 0.0 && !std::isnan(x));
+      const bool finite = std::isfinite(x);
+      runnable |= finite;
+      useful[j] |= static_cast<unsigned char>(finite);
+    }
+    dead_row |= !runnable;
   }
-  for (std::size_t j = 0; j < values_.cols(); ++j) {
-    bool useful = false;
-    for (std::size_t i = 0; i < values_.rows(); ++i)
-      if (std::isfinite(values_(i, j))) useful = true;
-    detail::require_value(useful, "EtcMatrix: machine runs no task");
-  }
+  detail::require_value(!bad_entry,
+                        "EtcMatrix: entries must be positive or +inf");
+  detail::require_value(!dead_row, "EtcMatrix: task runs on no machine");
+  detail::require_value(
+      std::find(useful.begin(), useful.end(), 0) == useful.end(),
+      "EtcMatrix: machine runs no task");
 }
 
 EcsMatrix EtcMatrix::to_ecs() const {

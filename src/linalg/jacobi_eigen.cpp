@@ -22,6 +22,13 @@ double max_offdiag_abs(const Matrix& a) {
   return off;
 }
 
+// out = in^T for square matrices of equal size.
+void transpose_into(const Matrix& in, Matrix& out) {
+  const std::size_t n = in.rows();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) out(j, i) = in(i, j);
+}
+
 void check_symmetric(const Matrix& a) {
   detail::require_value(a.rows() == a.cols(), "jacobi_eigen: not square");
   double scale = std::max(1.0, frobenius_norm(a));
@@ -183,10 +190,17 @@ void symmetric_eigenvalues_warm(const Matrix& a, Matrix& basis,
       b(j, i) = mean;
     }
 
+  // T is dead from here on: it holds basis^T, so each basis column
+  // rotation below is a contiguous rotate_pair over two rows of T (the
+  // same c*x - s*y / s*x + c*y products as the strided column update).
+  // The basis is transposed back on the way out, thrown or not.
+  Matrix& vt = t;
+  transpose_into(basis, vt);
   const double stop = opt.tol * std::max(frobenius_norm(b), 1e-300);
   for (std::size_t sweep = 0; sweep < opt.max_sweeps; ++sweep) {
     const double off = max_offdiag_abs(b);
     if (off <= stop) {
+      transpose_into(vt, basis);
       values.resize(n);
       for (std::size_t i = 0; i < n; ++i) values[i] = b(i, i);
       std::sort(values.begin(), values.end(), std::greater<>());
@@ -216,15 +230,11 @@ void symmetric_eigenvalues_warm(const Matrix& a, Matrix& basis,
           b(k, q) = s * bkp + c * bkq;
         }
         K.rotate_pair(b.row(p).data(), b.row(q).data(), n, c, s);
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = basis(k, p);
-          const double vkq = basis(k, q);
-          basis(k, p) = c * vkp - s * vkq;
-          basis(k, q) = s * vkp + c * vkq;
-        }
+        K.rotate_pair(vt.row(p).data(), vt.row(q).data(), n, c, s);
       }
     }
   }
+  transpose_into(vt, basis);
   throw ConvergenceError("jacobi_eigen: did not converge");
 }
 

@@ -48,6 +48,8 @@ void symmetric_eigenvalues_into(Matrix& a, std::vector<double>& values,
 /// calls to keep the hot path allocation-free.
 struct WarmEigenWorkspace {
   Matrix congruence;
+  /// A * basis while the congruence is formed, then basis^T during the
+  /// sweeps (so basis rotations run over contiguous rows).
   Matrix product;
 };
 

@@ -270,14 +270,12 @@ void min_gram_into(const Matrix& a, Matrix& g) {
   const std::size_t n = std::min(a.rows(), a.cols());
   detail::require_dims(g.rows() == n && g.cols() == n,
                        "min_gram_into: buffer must be min-dim square");
-  std::fill(g.data().begin(), g.data().end(), 0.0);
   if (a.rows() >= a.cols()) {
-    // Rank-1 row accumulation through the rank1_upper kernel: identical
-    // unfused multiply-adds in identical order to the scalar reference
-    // (bit-identical across backends), one dispatch per matrix row.
-    const auto& kernels = simd::kernels();
-    for (std::size_t k = 0; k < a.rows(); ++k)
-      kernels.rank1_upper(g.row(0).data(), g.cols(), a.row(k).data(), n);
+    // Register-tiled upper triangle: every entry accumulates its products
+    // over the rows in ascending order with unfused multiply-adds, the
+    // same bits as a row-by-row rank-1 build on every backend.
+    simd::kernels().gram_upper(a.data().data(), a.rows(), n, a.cols(),
+                               g.data().data(), g.cols());
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = 0; j < i; ++j) g(i, j) = g(j, i);
   } else {

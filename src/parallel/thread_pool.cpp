@@ -39,7 +39,13 @@ void ThreadPool::worker_loop(const std::stop_token& stop) {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    job();
+    // submit() jobs capture their own exceptions in the future; a posted
+    // job's escaping exception has no waiter to go to and must not take
+    // the worker thread (and with it the process) down: it is dropped.
+    try {
+      job();
+    } catch (...) {
+    }
   }
 }
 
@@ -88,7 +94,7 @@ struct ClaimState {
     }
   }
 
-  // One helper's whole job; keeps guarded state out of the submit lambda.
+  // One helper's whole job; keeps guarded state out of the posted lambda.
   void run_as_helper() {
     run_chunks();
     const support::MutexLock lock(mutex);
@@ -125,7 +131,7 @@ void detail::parallel_for_impl(ThreadPool& pool, std::size_t begin,
     state.helpers_running = helpers;
   }
   for (std::size_t w = 0; w < helpers; ++w)
-    pool.submit([&state] { state.run_as_helper(); });
+    pool.post([&state] { state.run_as_helper(); });
 
   state.run_chunks();
   if (helpers > 0) state.wait_helpers();

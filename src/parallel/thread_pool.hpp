@@ -3,7 +3,8 @@
 // Used by the measure-targeted generator's annealing restarts and the
 // Monte-Carlo benches. Follows the CppCoreGuidelines concurrency rules:
 // joining threads (jthread), no detach, state shared only through the
-// mutex-protected queue, exceptions surfaced to the waiter via futures.
+// mutex-protected queue, exceptions surfaced to the waiter via futures
+// (submit) or contained in the worker (post).
 #pragma once
 
 #include <cstddef>
@@ -34,6 +35,19 @@ class ThreadPool {
   ~ThreadPool();
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
+
+  /// Enqueues a fire-and-forget job: no packaged_task, future or shared
+  /// state is allocated. An exception escaping `f` is dropped and the
+  /// worker stays alive for the next job, so a job that owes someone an
+  /// answer must catch its own failures.
+  template <typename F>
+  void post(F&& f) {
+    {
+      const support::MutexLock lock(mutex_);
+      queue_.emplace_back(std::forward<F>(f));
+    }
+    cv_.notify_one();
+  }
 
   /// Enqueues a callable; the future delivers its result (or exception).
   template <typename F>

@@ -156,19 +156,53 @@ struct KernelsImpl {
     for (; i < n; ++i) acc[i] += a * x[i];
   }
 
-  static void rank1_upper(double* g, std::size_t stride, const double* r,
-                          std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double* grow = g + i * stride + i;
-      const double* x = r + i;
-      const std::size_t m = n - i;
-      const v av = V::bcast(r[i]);
-      std::size_t j = 0;
-      for (; j + 4 <= m; j += 4)
-        V::store(grow + j,
-                 V::add(V::load(grow + j), V::mul(av, V::load(x + j))));
-      for (; j < m; ++j) grow[j] += r[i] * x[j];
+  // One R x 4C tile of gram_upper: rows i0..i0+R-1, columns j0..j0+4C-1.
+  template <int R, int C>
+  static void gram_tile(const double* a, std::size_t rows, std::size_t lda,
+                        std::size_t i0, std::size_t j0, double* g,
+                        std::size_t ldg) {
+    v acc[R][C];
+    for (int r = 0; r < R; ++r)
+      for (int c = 0; c < C; ++c) acc[r][c] = V::zero();
+    for (std::size_t k = 0; k < rows; ++k) {
+      const double* ak = a + k * lda;
+      v x[C];
+      for (int c = 0; c < C; ++c) x[c] = V::load(ak + j0 + 4 * c);
+      for (int r = 0; r < R; ++r) {
+        const v b = V::bcast(ak[i0 + r]);
+        for (int c = 0; c < C; ++c)
+          acc[r][c] = V::add(acc[r][c], V::mul(b, x[c]));
+      }
     }
+    for (int r = 0; r < R; ++r)
+      for (int c = 0; c < C; ++c)
+        V::store(g + (i0 + r) * ldg + j0 + 4 * c, acc[r][c]);
+  }
+
+  // Rows i0..i0+R-1 of gram_upper, from the diagonal to the last column.
+  template <int R>
+  static void gram_rows(const double* a, std::size_t rows, std::size_t n,
+                        std::size_t lda, std::size_t i0, double* g,
+                        std::size_t ldg) {
+    std::size_t j0 = i0;
+    for (; j0 + 8 <= n; j0 += 8) gram_tile<R, 2>(a, rows, lda, i0, j0, g, ldg);
+    for (; j0 + 4 <= n; j0 += 4) gram_tile<R, 1>(a, rows, lda, i0, j0, g, ldg);
+    for (std::size_t r = 0; r < static_cast<std::size_t>(R); ++r) {
+      const std::size_t i = i0 + r;
+      for (std::size_t j = j0 > i ? j0 : i; j < n; ++j) {
+        double s = 0.0;
+        for (std::size_t k = 0; k < rows; ++k)
+          s += a[k * lda + i] * a[k * lda + j];
+        g[i * ldg + j] = s;
+      }
+    }
+  }
+
+  static void gram_upper(const double* a, std::size_t rows, std::size_t n,
+                         std::size_t lda, double* g, std::size_t ldg) {
+    std::size_t i0 = 0;
+    for (; i0 + 4 <= n; i0 += 4) gram_rows<4>(a, rows, n, lda, i0, g, ldg);
+    for (; i0 < n; ++i0) gram_rows<1>(a, rows, n, lda, i0, g, ldg);
   }
 
   static void axpy2(double* acc, const double* x0, const double* x1,
@@ -501,7 +535,7 @@ struct KernelsImpl {
     k.scale = &scale;
     k.add_into = &add_into;
     k.axpy = &axpy;
-    k.rank1_upper = &rank1_upper;
+    k.gram_upper = &gram_upper;
     k.axpy2 = &axpy2;
     k.rotate_pair = &rotate_pair;
     k.reciprocal_or_zero = &reciprocal_or_zero;

@@ -52,15 +52,17 @@ struct Kernels {
   void (*scale)(double* x, std::size_t n, double f);        // x[i] *= f
   void (*add_into)(const double* x, double* acc, std::size_t n);  // acc += x
   void (*axpy)(double* acc, const double* x, std::size_t n, double a);
-  // Upper-triangular rank-1 accumulation g[i][j] += r[i] * r[j] for
-  // j >= i, with g row-major at `stride` doubles per row. Each element
-  // update is the same unfused multiply-add the scalar reference performs,
-  // in the same order, so every backend agrees bitwise. One call
-  // accumulates one matrix row into the tall-case Gram build
-  // (linalg::min_gram_into), keeping kernel-dispatch overhead off the
-  // per-element path.
-  void (*rank1_upper)(double* g, std::size_t stride, const double* r,
-                      std::size_t n);
+  // Gram matrix of a tall row-major matrix: g[i][j] = sum over k of
+  // a[k][i] * a[k][j] for j >= i, with a `rows` x `n` at `lda` doubles per
+  // row and g at `ldg`. Each entry starts at 0.0 and accumulates its
+  // products over k in ascending order with unfused multiply-adds — the
+  // order of a row-by-row rank-1 build, so every backend agrees bitwise.
+  // Register-tiled: a 4 x 8 block of g stays in registers across the whole
+  // k loop. Entries below the diagonal inside a diagonal tile are written
+  // too (with their mirror's bits); the rest of the lower triangle is left
+  // untouched for the caller to mirror (linalg::min_gram_into).
+  void (*gram_upper)(const double* a, std::size_t rows, std::size_t n,
+                     std::size_t lda, double* g, std::size_t ldg);
   // acc[i] = (acc[i] + a0*x0[i]) + a1*x1[i]: two fused axpy updates that
   // stream acc once, bit-identical to axpy(a0, x0) followed by axpy(a1,
   // x1). Backbone of the rank-2 tridiagonalization update and the tiled

@@ -57,7 +57,14 @@ inline constexpr int kRankStreamOut = 400;
 /// should the two scopes ever merge.
 inline constexpr int kRankStreamFlight = 410;
 
-/// The event loop's WorkerChannel::mutex — completion handoff from pool
+/// The event loop's per-connection ConnWriter::mutex — the socket, its
+/// spill buffer and closed flag, shared by the loop thread and the pool
+/// workers that write their responses directly. Nests inside nothing and
+/// takes nothing; ranked below the channel so a writer that posted its
+/// notice while still holding it would stay legal.
+inline constexpr int kRankConnWriter = 420;
+
+/// The event loop's WorkerChannel::mutex — completion notices from pool
 /// workers back to the owning loop thread.
 inline constexpr int kRankWorkerChannel = 430;
 

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -138,34 +139,187 @@ int make_listener(std::uint16_t port, std::ostream& log) {
 
 }  // namespace
 
-// Completion channel from pool workers back to the owning loop thread.
-// Response callbacks hold it by shared_ptr, so a completion arriving after
-// the loop exited (or after its connection died) still has a live queue to
-// land in — it is simply never delivered.
+/// The one write path of a connection, shared by its loop thread and the
+/// pool workers answering its requests: whichever thread made a response
+/// writes it. The socket, the spill buffer (bytes the socket has not taken
+/// yet, in response order) and the closed flag sit under one mutex. Only
+/// the loop ever closes the fd, and it sets `closed` under the mutex
+/// first, so a late pool write is dropped instead of reaching a reused fd.
+class ConnWriter {
+ public:
+  enum class Result {
+    sent,     // the whole line is in the socket
+    spilled,  // bytes are waiting in the spill buffer
+    close,    // closed, over the close limit, or the socket failed
+  };
+
+  ConnWriter(int fd, std::size_t close_limit,
+             Metrics::ConnectionGauges& gauges)
+      : fd_(fd), close_limit_(close_limit), gauges_(gauges) {}
+
+  /// Writes one response line plus its newline. With nothing spilled that
+  /// is one sendmsg straight from `line`, and only the tail the socket
+  /// does not take is copied; otherwise the line queues behind the spill.
+  Result deliver(std::string_view line) {
+    const support::MutexLock lock(mutex_);
+    if (closed_) return Result::close;
+    if (spill_off_ == spill_.size()) {
+      char nl = '\n';
+      std::size_t off = 0;  // across line + the trailing newline
+      const std::size_t total = line.size() + 1;
+      while (off < total) {
+        iovec iov[2];
+        int iov_count = 0;
+        if (off < line.size()) {
+          iov[iov_count].iov_base = const_cast<char*>(line.data()) + off;
+          iov[iov_count].iov_len = line.size() - off;
+          ++iov_count;
+        }
+        iov[iov_count].iov_base = &nl;
+        iov[iov_count].iov_len = 1;
+        ++iov_count;
+        msghdr msg{};
+        msg.msg_iov = iov;
+        msg.msg_iovlen = static_cast<std::size_t>(iov_count);
+        const auto n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+        if (n < 0) {
+          if (errno == EINTR) continue;
+          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+          return fail();
+        }
+        off += static_cast<std::size_t>(n);
+        gauges_.bytes_out.fetch_add(static_cast<std::uint64_t>(n),
+                                    std::memory_order_relaxed);
+      }
+      touch();
+      if (off == total) return Result::sent;
+      spill_.clear();
+      spill_off_ = 0;
+      if (off < line.size()) spill_.assign(line.substr(off));
+      spill_.push_back('\n');
+      return Result::spilled;
+    }
+    spill_.reserve(spill_.size() + line.size() + 1);
+    spill_.append(line);
+    spill_.push_back('\n');
+    if (spill_.size() - spill_off_ > close_limit_) {
+      gauges_.backpressure_closed.fetch_add(1, std::memory_order_relaxed);
+      closed_ = true;
+      return Result::close;
+    }
+    return drain_spill();
+  }
+
+  /// Sends as much of the spill as the socket takes (the EPOLLOUT step).
+  Result flush() {
+    const support::MutexLock lock(mutex_);
+    if (closed_) return Result::close;
+    return drain_spill();
+  }
+
+  /// Bytes owed to the peer.
+  std::size_t pending() const {
+    const support::MutexLock lock(mutex_);
+    return spill_.size() - spill_off_;
+  }
+
+  /// Stops every later write; the caller then closes the fd.
+  void close() {
+    const support::MutexLock lock(mutex_);
+    closed_ = true;
+    spill_.clear();
+    spill_off_ = 0;
+  }
+
+  /// When the socket last took bytes.
+  Clock::time_point last_write() const noexcept {
+    return Clock::time_point(
+        Clock::duration(last_write_.load(std::memory_order_relaxed)));
+  }
+
+ private:
+  Result fail() HETERO_REQUIRES(mutex_) {
+    closed_ = true;
+    return Result::close;
+  }
+
+  void touch() noexcept {
+    last_write_.store(Clock::now().time_since_epoch().count(),
+                      std::memory_order_relaxed);
+  }
+
+  Result drain_spill() HETERO_REQUIRES(mutex_) {
+    bool progressed = false;
+    while (spill_off_ < spill_.size()) {
+      const auto n = ::send(fd_, spill_.data() + spill_off_,
+                            spill_.size() - spill_off_, MSG_NOSIGNAL);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+        return fail();
+      }
+      spill_off_ += static_cast<std::size_t>(n);
+      gauges_.bytes_out.fetch_add(static_cast<std::uint64_t>(n),
+                                  std::memory_order_relaxed);
+      progressed = true;
+    }
+    if (progressed) touch();
+    if (spill_off_ == spill_.size()) {
+      spill_.clear();
+      spill_off_ = 0;
+      return Result::sent;
+    }
+    if (spill_off_ > (1u << 20) && spill_off_ >= spill_.size() / 2) {
+      spill_.erase(0, spill_off_);
+      spill_off_ = 0;
+    }
+    return Result::spilled;
+  }
+
+  mutable support::Mutex mutex_{support::kRankConnWriter, "conn-writer"};
+  const int fd_;
+  const std::size_t close_limit_;
+  Metrics::ConnectionGauges& gauges_;
+  std::string spill_ HETERO_GUARDED_BY(mutex_);
+  std::size_t spill_off_ HETERO_GUARDED_BY(mutex_) = 0;
+  bool closed_ HETERO_GUARDED_BY(mutex_) = false;
+  std::atomic<Clock::rep> last_write_{0};
+};
+
+/// What a pool worker tells the loop after writing a response itself:
+/// operation `op` of connection `conn_id` is done, and how its write went.
+struct Notice {
+  std::uint64_t conn_id = 0;
+  std::uint64_t op = 0;
+  ConnWriter::Result result = ConnWriter::Result::sent;
+};
+
+// Notice channel from pool workers back to the owning loop thread.
+// Response callbacks hold it by shared_ptr, so a notice arriving after the
+// loop exited (or after its connection died) still has a live queue to
+// land in — it is simply never read.
 struct WorkerChannel {
   support::Mutex mutex{support::kRankWorkerChannel, "worker-channel"};
-  std::vector<std::pair<std::uint64_t, std::string>> completions
-      HETERO_GUARDED_BY(mutex);
+  std::vector<Notice> notices HETERO_GUARDED_BY(mutex);
   int wake_fd = -1;
 
   ~WorkerChannel() {
     if (wake_fd >= 0) ::close(wake_fd);
   }
 
-  void post(std::uint64_t conn_id, std::string response) {
+  void post(const Notice& notice) {
     {
       const support::MutexLock lock(mutex);
-      completions.emplace_back(conn_id, std::move(response));
+      notices.push_back(notice);
     }
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const auto n = ::write(wake_fd, &one, sizeof one);
+    wake();
   }
 
   /// Swaps out everything posted so far (the loop thread's drain step).
-  std::vector<std::pair<std::uint64_t, std::string>> take() {
-    std::vector<std::pair<std::uint64_t, std::string>> batch;
+  std::vector<Notice> take() {
+    std::vector<Notice> batch;
     const support::MutexLock lock(mutex);
-    batch.swap(completions);
+    batch.swap(notices);
     return batch;
   }
 
@@ -185,17 +339,24 @@ struct EventLoopServer::Worker {
   struct Conn {
     int fd = -1;
     io::LineFramer framer;
-    std::string outbuf;
-    std::size_t out_off = 0;
-    std::size_t in_flight = 0;  // responses owed by the pool
+    std::shared_ptr<ConnWriter> writer;
+    std::size_t in_flight = 0;  // pool operations not yet noticed
+    std::uint64_t next_op = 0;  // numbers this connection's pool operations
+    // The pool operation that is a session op, while one is in flight;
+    // no further frame is decoded, and no further byte read, until its
+    // notice arrives.
+    std::optional<std::uint64_t> session_op;
+    std::uint32_t interest = EPOLLIN;  // the events registered with epoll
     bool reading_paused = false;
     bool peer_closed = false;  // recv saw EOF; flush what is owed, then close
     bool want_write = false;   // EPOLLOUT armed
-    Clock::time_point last_activity{};
+    Clock::time_point last_read{};
     // Per-connection streaming session (subscribe/update state). Created
     // at accept: the empty session is a mutex plus two empty optionals,
     // and update/subscribe frames need it before the line is parsed.
-    std::unique_ptr<StreamSession> session;
+    // Shared with the pool job running a session op, which keeps it alive
+    // past a close.
+    std::shared_ptr<StreamSession> session;
   };
   std::unordered_map<std::uint64_t, Conn> conns;
   std::uint64_t next_conn_id = kFirstConnId;
@@ -205,7 +366,10 @@ struct EventLoopServer::Worker {
   Clock::time_point last_sweep{};
 
   ~Worker() {
-    for (auto& [id, conn] : conns) ::close(conn.fd);
+    for (auto& [id, conn] : conns) {
+      conn.writer->close();
+      ::close(conn.fd);
+    }
     if (listen_fd >= 0) ::close(listen_fd);
     if (epoll_fd >= 0) ::close(epoll_fd);
   }
@@ -301,9 +465,12 @@ void EventLoopServer::loop(Worker& w) {
     epoll_event ev{};
     ev.data.u64 = id;
     ev.events = 0;
-    if (!conn.reading_paused && !conn.peer_closed && !w.draining)
+    if (!conn.reading_paused && !conn.peer_closed && !conn.session_op &&
+        !w.draining)
       ev.events |= EPOLLIN;
     if (conn.want_write) ev.events |= EPOLLOUT;
+    if (ev.events == conn.interest) return;
+    conn.interest = ev.events;
     ::epoll_ctl(w.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
   };
 
@@ -311,39 +478,21 @@ void EventLoopServer::loop(Worker& w) {
     const auto it = w.conns.find(id);
     if (it == w.conns.end()) return;
     ::epoll_ctl(w.epoll_fd, EPOLL_CTL_DEL, it->second.fd, nullptr);
+    it->second.writer->close();  // before the fd number can be reused
     ::close(it->second.fd);
     w.conns.erase(it);
     gauges.active.fetch_sub(1, std::memory_order_relaxed);
   };
 
-  // Flushes as much of conn.outbuf as the socket accepts. Returns false
-  // when the connection died and was closed.
-  const auto try_flush = [&](std::uint64_t id, Worker::Conn& conn) -> bool {
-    while (conn.out_off < conn.outbuf.size()) {
-      const auto n = ::send(conn.fd, conn.outbuf.data() + conn.out_off,
-                            conn.outbuf.size() - conn.out_off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        close_conn(id);
-        return false;
-      }
-      conn.out_off += static_cast<std::size_t>(n);
-      gauges.bytes_out.fetch_add(static_cast<std::uint64_t>(n),
-                                 std::memory_order_relaxed);
-      conn.last_activity = Clock::now();
-    }
-    if (conn.out_off == conn.outbuf.size()) {
-      conn.outbuf.clear();
-      conn.out_off = 0;
-    } else if (conn.out_off > (1u << 20) &&
-               conn.out_off >= conn.outbuf.size() / 2) {
-      conn.outbuf.erase(0, conn.out_off);
-      conn.out_off = 0;
-    }
-    const std::size_t pending = conn.outbuf.size() - conn.out_off;
+  // Matches the epoll interest to what the connection owes: EPOLLOUT while
+  // bytes are spilled, reads paused above the high-water mark (resumed at
+  // half of it). Closes a half-closed peer once nothing is owed. Returns
+  // false when the connection was closed.
+  const auto settle = [&](std::uint64_t id, Worker::Conn& conn) -> bool {
+    const std::size_t pending = conn.writer->pending();
     const bool want_write = pending > 0;
-    const bool should_pause = pending > options_.write_high_water;
+    const bool should_pause =
+        !conn.reading_paused && pending > options_.write_high_water;
     const bool should_resume =
         conn.reading_paused && pending <= options_.write_high_water / 2;
     if (want_write != conn.want_write || should_pause || should_resume) {
@@ -359,70 +508,26 @@ void EventLoopServer::loop(Worker& w) {
     return true;
   };
 
-  // Queues one response line on the connection; enforces the hard cap.
+  // Writes one response produced on the loop thread. Returns false when
+  // the connection died and was closed.
   const auto deliver = [&](std::uint64_t id, Worker::Conn& conn,
                            std::string_view response) -> bool {
-    if (conn.outbuf.empty()) {
-      // Nothing queued ahead: write straight from the response buffer
-      // (line + newline as one sendmsg) and spill only the unsent tail,
-      // skipping a full copy in the common drained-peer case (the warm
-      // path pushes ~40 KB per response, so that copy is a measurable
-      // share of peak throughput).
-      char nl = '\n';
-      std::size_t off = 0;  // across response + the trailing newline
-      const std::size_t total = response.size() + 1;
-      while (off < total) {
-        iovec iov[2];
-        int iov_count = 0;
-        if (off < response.size()) {
-          iov[iov_count].iov_base =
-              const_cast<char*>(response.data()) + off;
-          iov[iov_count].iov_len = response.size() - off;
-          ++iov_count;
-        }
-        iov[iov_count].iov_base = &nl;
-        iov[iov_count].iov_len = 1;
-        ++iov_count;
-        msghdr msg{};
-        msg.msg_iov = iov;
-        msg.msg_iovlen = static_cast<std::size_t>(iov_count);
-        const auto n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          close_conn(id);
-          return false;
-        }
-        off += static_cast<std::size_t>(n);
-        gauges.bytes_out.fetch_add(static_cast<std::uint64_t>(n),
-                                   std::memory_order_relaxed);
-      }
-      conn.last_activity = Clock::now();
-      if (off == total) return true;
-      if (off < response.size()) {
-        conn.outbuf.assign(response.substr(off));
-        conn.outbuf.push_back('\n');
-      }
-      // off == response.size(): only the newline is still owed.
-      if (off == response.size()) conn.outbuf.assign(1, '\n');
-      conn.out_off = 0;
-      return try_flush(id, conn);
+    switch (conn.writer->deliver(response)) {
+      case ConnWriter::Result::sent: return true;
+      case ConnWriter::Result::spilled: return settle(id, conn);
+      case ConnWriter::Result::close: break;
     }
-    conn.outbuf.reserve(conn.outbuf.size() + response.size() + 1);
-    conn.outbuf.append(response);
-    conn.outbuf.push_back('\n');
-    if (conn.outbuf.size() - conn.out_off > options_.write_close_limit) {
-      gauges.backpressure_closed.fetch_add(1, std::memory_order_relaxed);
-      close_conn(id);
-      return false;
-    }
-    return try_flush(id, conn);
+    close_conn(id);
+    return false;
   };
 
-  // Decodes and dispatches every complete frame buffered on `conn`.
+  // Decodes and dispatches every complete frame buffered on `conn`, up to
+  // (and including) a session op sent to the pool.
   const auto process_frames = [&](std::uint64_t id,
                                   Worker::Conn& conn) -> bool {
-    while (auto frame = conn.framer.next()) {
+    while (!conn.session_op) {
+      auto frame = conn.framer.next();
+      if (!frame) break;
       if (w.draining) {
         // Shutdown hit between decode and dispatch: answer explicitly
         // instead of dropping a frame the peer already transmitted.
@@ -460,13 +565,16 @@ void EventLoopServer::loop(Worker& w) {
         continue;
       }
 
+      // A pool job writes its response itself, then leaves a notice.
+      const std::uint64_t op = conn.next_op++;
       Server::FastPathInfo info;
       auto response = server_.submit_fast(
           frame->line,
-          [channel = w.channel, id](std::string r) {
-            channel->post(id, std::move(r));
+          [writer = conn.writer, channel = w.channel, id,
+           op](std::string r) {
+            channel->post(Notice{id, op, writer->deliver(r)});
           },
-          &shard_map_, w.index, &info, conn.session.get());
+          &shard_map_, w.index, &info, conn.session);
       if (response) {
         if (info.inline_hit && !info.had_deadline)
           w.memo.put(line_hash, std::move(frame->line), *response, info.kind);
@@ -474,12 +582,22 @@ void EventLoopServer::loop(Worker& w) {
       } else {
         ++conn.in_flight;
         ++w.in_flight_total;
+        if (info.session_op) conn.session_op = op;
       }
     }
     return true;
   };
 
+  // Reads stop while a session op is in flight: the bytes stay in the
+  // socket, whose receive window then holds the peer back, instead of
+  // piling up undecoded in the framer. EPOLLIN is dropped lazily, on the
+  // first readiness that arrives during the op, so a peer that waits for
+  // each answer costs no extra epoll_ctl.
   const auto handle_readable = [&](std::uint64_t id, Worker::Conn& conn) {
+    if (conn.session_op) {
+      update_interest(id, conn);
+      return;
+    }
     char chunk[65536];
     std::size_t budget = 4;  // reads per readiness; LT epoll re-notifies
     while (budget-- > 0) {
@@ -492,7 +610,7 @@ void EventLoopServer::loop(Worker& w) {
       }
       if (n == 0) {
         conn.peer_closed = true;
-        if (conn.in_flight == 0 && conn.outbuf.size() == conn.out_off)
+        if (conn.in_flight == 0 && conn.writer->pending() == 0)
           close_conn(id);
         else
           update_interest(id, conn);  // stop reading; flush what is owed
@@ -500,9 +618,10 @@ void EventLoopServer::loop(Worker& w) {
       }
       gauges.bytes_in.fetch_add(static_cast<std::uint64_t>(n),
                                 std::memory_order_relaxed);
-      conn.last_activity = Clock::now();
+      conn.last_read = Clock::now();
       conn.framer.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
       if (!process_frames(id, conn)) return;
+      if (conn.session_op) break;
       if (static_cast<std::size_t>(n) < sizeof chunk) break;
     }
   };
@@ -525,10 +644,12 @@ void EventLoopServer::loop(Worker& w) {
       Worker::Conn& conn = w.conns[id];
       conn.fd = fd;
       conn.framer = io::LineFramer(options_.max_frame_bytes);
-      conn.session = std::make_unique<StreamSession>();
-      conn.last_activity = Clock::now();
+      conn.writer = std::make_shared<ConnWriter>(
+          fd, options_.write_close_limit, gauges);
+      conn.session = std::make_shared<StreamSession>();
+      conn.last_read = Clock::now();
       epoll_event ev{};
-      ev.events = EPOLLIN;
+      ev.events = conn.interest;
       ev.data.u64 = id;
       ::epoll_ctl(w.epoll_fd, EPOLL_CTL_ADD, fd, &ev);
       gauges.accepted.fetch_add(1, std::memory_order_relaxed);
@@ -536,15 +657,28 @@ void EventLoopServer::loop(Worker& w) {
     }
   };
 
-  const auto drain_completions = [&] {
-    auto batch = w.channel->take();
-    for (auto& [id, response] : batch) {
+  const auto drain_notices = [&] {
+    for (const Notice& notice : w.channel->take()) {
       --w.in_flight_total;
-      const auto it = w.conns.find(id);
-      if (it == w.conns.end()) continue;  // connection died while computing
+      const auto it = w.conns.find(notice.conn_id);
+      if (it == w.conns.end()) continue;  // connection died meanwhile
       Worker::Conn& conn = it->second;
-      if (conn.in_flight > 0) --conn.in_flight;
-      deliver(id, conn, response);
+      --conn.in_flight;
+      if (notice.result == ConnWriter::Result::close) {
+        close_conn(notice.conn_id);
+        continue;
+      }
+      if (conn.session_op == notice.op) {
+        // The session op is answered: decode the frames that waited, then
+        // read again unless another session op is in flight.
+        conn.session_op.reset();
+        if (!process_frames(notice.conn_id, conn)) continue;
+        update_interest(notice.conn_id, conn);
+      }
+      // Spilled bytes need EPOLLOUT (and maybe the read pause); a
+      // half-closed peer is closed once nothing is owed.
+      if (notice.result == ConnWriter::Result::spilled || conn.peer_closed)
+        settle(notice.conn_id, conn);
     }
   };
 
@@ -555,8 +689,9 @@ void EventLoopServer::loop(Worker& w) {
     std::vector<std::uint64_t> victims;
     for (auto& [id, conn] : w.conns) {
       if (conn.in_flight > 0) continue;  // compute in progress, not idle
-      if (now - conn.last_activity > options_.idle_timeout)
-        victims.push_back(id);
+      const Clock::time_point last_activity =
+          std::max(conn.last_read, conn.writer->last_write());
+      if (now - last_activity > options_.idle_timeout) victims.push_back(id);
     }
     for (const std::uint64_t id : victims) {
       gauges.timed_out.fetch_add(1, std::memory_order_relaxed);
@@ -579,7 +714,7 @@ void EventLoopServer::loop(Worker& w) {
       bool flushed = w.in_flight_total == 0;
       if (flushed)
         for (auto& [id, conn] : w.conns)
-          if (conn.outbuf.size() != conn.out_off) {
+          if (conn.writer->pending() != 0) {
             flushed = false;
             break;
           }
@@ -602,7 +737,7 @@ void EventLoopServer::loop(Worker& w) {
         std::uint64_t drained;
         while (::read(w.channel->wake_fd, &drained, sizeof drained) > 0) {
         }
-        drain_completions();
+        drain_notices();
         continue;
       }
       const auto it = w.conns.find(tag);
@@ -610,16 +745,20 @@ void EventLoopServer::loop(Worker& w) {
       Worker::Conn& conn = it->second;
       if (events[i].events & (EPOLLHUP | EPOLLERR)) {
         // Give owed responses one last flush attempt, then drop.
-        if (conn.outbuf.size() != conn.out_off) try_flush(tag, conn);
+        conn.writer->flush();
         close_conn(tag);
         continue;
       }
       if (events[i].events & EPOLLOUT) {
-        if (!try_flush(tag, conn)) continue;
+        if (conn.writer->flush() == ConnWriter::Result::close) {
+          close_conn(tag);
+          continue;
+        }
+        if (!settle(tag, conn)) continue;
       }
       if (events[i].events & EPOLLIN) handle_readable(tag, conn);
     }
-    drain_completions();
+    drain_notices();
     sweep_idle(Clock::now());
   }
 

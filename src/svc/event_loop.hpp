@@ -5,9 +5,16 @@
 // shared port (the kernel load-balances accepts across workers), and the
 // connections it accepted: non-blocking reads feed a resumable
 // io::LineFramer per connection (arbitrary byte splits, oversized-line
-// resync), decoded frames enter the shared Server, and responses are
-// marshalled back to the owning loop thread through a completion queue +
-// eventfd, then written through a bounded per-connection buffer.
+// resync), and decoded frames enter the shared Server. A response is
+// written by the thread that made it — the loop for inline answers, the
+// pool worker for computed ones — through one per-connection writer (the
+// socket plus a bounded spill buffer under a ranked mutex); a pool worker
+// then leaves the loop a small notice (op done, spilled, or close) over a
+// queue + eventfd. A connection's session op (subscribe/update) runs on
+// the pool too, and the loop decodes none of that connection's later
+// frames, and reads none of its later bytes, until it is answered, so
+// per-connection order is unchanged and a peer streaming behind a slow
+// op is held back by its socket's receive window.
 //
 // The Server behind the loop is unchanged: the same admission queue,
 // deadline handling, sharded LRU cache, and compute ThreadPool as

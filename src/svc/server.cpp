@@ -1,5 +1,6 @@
 #include "svc/server.hpp"
 
+#include <exception>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -29,6 +30,19 @@ std::uint64_t elapsed_us(Clock::time_point from, Clock::time_point to) {
   return us < 0 ? 0 : static_cast<std::uint64_t>(us);
 }
 
+// The message of an exception that is not a hetero::Error (std::bad_alloc
+// and the like); call only from inside a catch block. Such a failure is
+// the server's, not the request's: it is answered with kErrInternal.
+std::string internal_message() {
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown exception";
+  }
+}
+
 }  // namespace
 
 Server::Server(ServerOptions options)
@@ -48,8 +62,9 @@ bool Server::is_session_kind(RequestKind kind) noexcept {
   return kind == RequestKind::update || kind == RequestKind::subscribe;
 }
 
-std::string Server::session_response(const Request& request,
-                                     StreamSession* session) {
+std::string Server::session_response(
+    const Request& request, StreamSession* session,
+    std::optional<Clock::time_point> enqueued) {
   auto& k = metrics_.kind(request.kind);
   if (session == nullptr) {
     k.errors.fetch_add(1, std::memory_order_relaxed);
@@ -60,7 +75,7 @@ std::string Server::session_response(const Request& request,
   const Clock::time_point start = Clock::now();
   try {
     std::string result = session->handle(request);
-    k.queue_wait.record(0);
+    k.queue_wait.record(enqueued ? elapsed_us(*enqueued, start) : 0);
     k.compute.record(elapsed_us(start, Clock::now()));
     k.completed.fetch_add(1, std::memory_order_relaxed);
     return ok_response(request.id_json, result);
@@ -107,15 +122,13 @@ void Server::submit(const std::string& line, ResponseFn respond,
             "); retry later"));
     return;
   }
-  pool_.submit([this] { drain_one(); });
+  pool_.post([this] { drain_one(); });
 }
 
-std::optional<std::string> Server::submit_fast(const std::string& line,
-                                               ResponseFn respond,
-                                               const ShardMap* shard_map,
-                                               std::size_t worker_index,
-                                               FastPathInfo* info,
-                                               StreamSession* session) {
+std::optional<std::string> Server::submit_fast(
+    const std::string& line, ResponseFn respond, const ShardMap* shard_map,
+    std::size_t worker_index, FastPathInfo* info,
+    const std::shared_ptr<StreamSession>& session) {
   const Clock::time_point t0 = Clock::now();
   QueuedItem item;
   try {
@@ -129,14 +142,32 @@ std::optional<std::string> Server::submit_fast(const std::string& line,
   auto& k = metrics_.kind(item.request.kind);
   k.received.fetch_add(1, std::memory_order_relaxed);
   if (is_session_kind(item.request.kind)) {
-    // Inline, uncacheable, never memoized: info keeps inline_hit false so
-    // the event loop's raw-line memo cannot replay a stateful response.
+    // Uncacheable, never memoized: info keeps inline_hit false so the
+    // event loop's raw-line memo cannot replay a stateful response.
     if (info) {
       info->kind = item.request.kind;
       info->inline_hit = false;
       info->had_deadline = false;
     }
-    return session_response(item.request, session);
+    if (session == nullptr)
+      return session_response(item.request, nullptr);
+    if (info) info->session_op = true;
+    // Off the caller's thread: the job owns the request and shares the
+    // session, so a connection closing meanwhile cannot free either.
+    pool_.post([this, request = std::move(item.request), session,
+                respond = std::move(respond), t0] {
+      std::string response;
+      try {
+        response = session_response(request, session.get(), t0);
+      } catch (...) {
+        metrics_.kind(request.kind)
+            .errors.fetch_add(1, std::memory_order_relaxed);
+        response =
+            error_response(request.id_json, kErrInternal, internal_message());
+      }
+      respond(std::move(response));
+    });
+    return std::nullopt;
   }
   item.enqueued = t0;
   if (item.request.deadline)
@@ -183,7 +214,7 @@ std::optional<std::string> Server::submit_fast(const std::string& line,
         "queue full (depth " + std::to_string(queue_.depth()) +
             "); retry later");
   }
-  pool_.submit([this] { drain_one(); });
+  pool_.post([this] { drain_one(); });
   return std::nullopt;
 }
 
@@ -227,21 +258,26 @@ std::string Server::result_for(const Request& request,
 void Server::process(const QueuedItem& item) {
   auto& k = metrics_.kind(item.request.kind);
   const Clock::time_point start = Clock::now();
+  std::string response;
   try {
     std::string result = result_for(item.request, item.deadline,
                                     item.cache_key);
     k.compute.record(elapsed_us(start, Clock::now()));
     k.completed.fetch_add(1, std::memory_order_relaxed);
-    item.respond(ok_response(item.request.id_json, result));
+    response = ok_response(item.request.id_json, result);
   } catch (const DeadlineExpired&) {
     metrics_.count_rejected_deadline();
-    item.respond(error_response(item.request.id_json, kErrDeadlineExpired,
-                                "deadline expired before compute"));
+    response = error_response(item.request.id_json, kErrDeadlineExpired,
+                              "deadline expired before compute");
   } catch (const Error& e) {
     k.errors.fetch_add(1, std::memory_order_relaxed);
-    item.respond(
-        error_response(item.request.id_json, kErrInternal, e.what()));
+    response = error_response(item.request.id_json, kErrInternal, e.what());
+  } catch (...) {
+    k.errors.fetch_add(1, std::memory_order_relaxed);
+    response =
+        error_response(item.request.id_json, kErrInternal, internal_message());
   }
+  item.respond(std::move(response));
 }
 
 std::string Server::handle(const std::string& line, StreamSession* session) {

@@ -13,12 +13,15 @@
 // Front ends: serve_stream() speaks newline-delimited JSON over any
 // istream/ostream pair (the stdin/stdout mode of hetero_served); TCP is
 // served by svc::EventLoopServer (event_loop.hpp), which runs the same
-// per-line protocol over each socket through submit()/submit_fast().
+// per-line protocol over each socket through submit_fast(). Session
+// requests (subscribe/update) from submit_fast also run on the pool, one
+// job per request; the front end keeps them in order per connection.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -79,6 +82,10 @@ class Server {
     /// The request carried a deadline (explicit or default) — its outcome
     /// is time-dependent and must not be memoized.
     bool had_deadline = false;
+    /// A session request (update/subscribe) went to the pool: the caller
+    /// must not dispatch this connection's next frame until `respond` has
+    /// fired, so the session sees its requests in arrival order.
+    bool session_op = false;
   };
 
   /// Event-loop entry point. Returns the response when it can be produced
@@ -95,15 +102,16 @@ class Server {
   /// scales with workers instead of bouncing a lock. Non-owned shards take
   /// the queue path and still hit the cache on the pool worker, so the
   /// response bytes are identical either way.
-  /// Stateful session requests (update/subscribe) are computed inline
-  /// against `session` and returned directly — with inline_hit left false,
-  /// so a memoizing front end never replays them.
-  std::optional<std::string> submit_fast(const std::string& line,
-                                         ResponseFn respond,
-                                         const ShardMap* shard_map = nullptr,
-                                         std::size_t worker_index = 0,
-                                         FastPathInfo* info = nullptr,
-                                         StreamSession* session = nullptr);
+  /// Stateful session requests (update/subscribe) are posted to the pool
+  /// as one job that computes against `session` (which the job keeps
+  /// alive) and fires `respond` — info->session_op is then set. They are
+  /// answered inline with a 400 when `session` is null. inline_hit stays
+  /// false either way, so a memoizing front end never replays them.
+  std::optional<std::string> submit_fast(
+      const std::string& line, ResponseFn respond,
+      const ShardMap* shard_map = nullptr, std::size_t worker_index = 0,
+      FastPathInfo* info = nullptr,
+      const std::shared_ptr<StreamSession>& session = nullptr);
 
   /// Synchronous entry point: full pipeline (cache included) on the
   /// calling thread, bypassing admission control. The cold and cached
@@ -125,13 +133,18 @@ class Server {
 
  private:
   /// True when the request kind is stateful (update/subscribe) and must be
-  /// computed inline against a session, never queued/cached/memoized.
+  /// computed against a session, never queued/cached/memoized.
   static bool is_session_kind(RequestKind kind) noexcept;
-  /// Inline session pipeline: computes against `session` on the calling
-  /// thread (400 when nullptr) and returns the full response envelope.
-  std::string session_response(const Request& request,
-                               StreamSession* session);
-  /// Runs cache lookup + compute for one popped item and responds.
+  /// Session pipeline: computes against `session` on the calling thread
+  /// (400 when nullptr) and returns the full response envelope.
+  /// `enqueued` is when a pool job was posted for it (nullopt = inline, no
+  /// queue wait).
+  std::string session_response(
+      const Request& request, StreamSession* session,
+      std::optional<std::chrono::steady_clock::time_point> enqueued =
+          std::nullopt);
+  /// Runs cache lookup + compute for one popped item and responds —
+  /// exactly once, whatever it throws (non-Error exceptions answer 500).
   void process(const QueuedItem& item);
   /// Result payload for `request` (cache consulted for cacheable kinds);
   /// throws past `deadline` between stages. `key` is the precomputed

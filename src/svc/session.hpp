@@ -5,10 +5,12 @@
 // connection's ETC matrix plus a core::EtcEstimator tracking noisy runtime
 // observations; updates then stream deltas instead of re-sending matrices.
 // Session requests are inherently uncacheable (the same bytes produce
-// different results as the view evolves), so the server computes them
-// inline on the receiving thread — never through the admission queue, the
-// result cache, or the event loop's raw-line memo — and each front end
-// keys exactly one session per connection.
+// different results as the view evolves), so they never pass through the
+// admission queue, the result cache, or the event loop's raw-line memo.
+// Each front end keys exactly one session per connection and hands it one
+// request at a time: the event loop runs each on a pool worker and decodes
+// that connection's next frame only after it is answered; serve_stream
+// and Server::handle run them inline.
 //
 // Thread safety: all state is guarded by a ranked mutex
 // (support::kRankStreamSession). Session compute takes no further locks,

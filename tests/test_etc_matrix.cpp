@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 namespace {
 
@@ -56,6 +57,36 @@ TEST(EtcMatrix, InfinityMeansCannotRun) {
 TEST(EtcMatrix, RejectsAllInfRowOrColumn) {
   EXPECT_THROW(EtcMatrix(Matrix{{kInf, kInf}, {1, 2}}), ValueError);
   EXPECT_THROW(EtcMatrix(Matrix{{kInf, 1}, {kInf, 2}}), ValueError);
+}
+
+// The message names the highest-precedence failure: a bad entry, then a
+// task that runs nowhere, then a machine that runs nothing — wherever in
+// the matrix each one sits.
+std::string construction_error(const Matrix& m) {
+  try {
+    const EtcMatrix etc(m);
+  } catch (const ValueError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EtcMatrix, TwoFailuresReportTheHigherPrecedence) {
+  const std::string entry = "EtcMatrix: entries must be positive or +inf";
+  const std::string row = "EtcMatrix: task runs on no machine";
+  const std::string col = "EtcMatrix: machine runs no task";
+  // Dead first row, bad entry in the last row.
+  EXPECT_EQ(construction_error(Matrix{{kInf, kInf}, {1, 2}, {3, -1}}),
+            entry);
+  // Dead column first, dead row after it.
+  EXPECT_EQ(construction_error(Matrix{{kInf, 1, 2}, {kInf, 3, 4},
+                                      {kInf, kInf, kInf}}),
+            row);
+  // Dead last column only.
+  EXPECT_EQ(construction_error(Matrix{{1, kInf}, {2, kInf}}), col);
+  // NaN behind a dead column.
+  EXPECT_EQ(construction_error(Matrix{{kInf, 1}, {kInf, std::nan("")}}),
+            entry);
 }
 
 TEST(EtcMatrix, ToEcsReciprocal) {

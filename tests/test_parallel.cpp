@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <new>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -32,6 +33,26 @@ TEST(ThreadPool, SubmitPropagatesException) {
   ThreadPool pool(2);
   auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(f.get(), std::runtime_error);
+}
+
+TEST(ThreadPool, PostedJobsAllRun) {
+  std::atomic<int> counter{0};
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 100; ++i) pool.post([&counter] { ++counter; });
+  }  // the destructor drains posted jobs too
+  EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ThreadPool, ThrowingPostedJobLeavesWorkerAlive) {
+  // One worker: if the throw killed it (or the process), the next jobs
+  // could never run.
+  ThreadPool pool(1);
+  pool.post([] { throw std::bad_alloc(); });
+  pool.post([] { throw ValueError("boom"); });
+  pool.post([] { throw 7; });
+  auto f = pool.submit([] { return 42; });
+  EXPECT_EQ(f.get(), 42);
 }
 
 TEST(ThreadPool, ManyTasksAllRun) {

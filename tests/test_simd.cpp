@@ -195,6 +195,34 @@ TEST(SimdEquivalence, ElementwiseTransforms) {
   }
 }
 
+TEST(SimdEquivalence, TiledGramMatchesRankOneReference) {
+  // The reference is the row-by-row rank-1 build the tiled kernel
+  // replaces: g[i][j] += a[k][i] * a[k][j] for every row k in order,
+  // starting from zero — one scalar-backend axpy per (k, i), so no
+  // compiler contraction can fuse it. Every backend's tiled kernel must
+  // reproduce its upper triangle bit for bit, inside a wider g buffer.
+  std::vector<const Kernels*> backends = dispatched_backends();
+  backends.push_back(&scalar());
+  for (std::size_t n = 1; n <= 17; ++n) {
+    const std::size_t ldg = n + 3;
+    for (std::size_t rows = 1; rows <= 300; ++rows) {
+      const std::vector<double> a = battery(rows * n, 7 * n + rows);
+      std::vector<double> ref(n * ldg, 0.0);
+      for (std::size_t k = 0; k < rows; ++k)
+        for (std::size_t i = 0; i < n; ++i)
+          scalar().axpy(&ref[i * ldg + i], &a[k * n + i], n - i, a[k * n + i]);
+      for (const Kernels* vk : backends) {
+        std::vector<double> g(n * ldg, -1.0);
+        vk->gram_upper(a.data(), rows, n, n, g.data(), ldg);
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = i; j < n; ++j)
+            ASSERT_EQ(bits(ref[i * ldg + j]), bits(g[i * ldg + j]))
+                << rows << "x" << n << " (" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
 TEST(SimdEquivalence, ReciprocalsWithIncapableEntries) {
   const auto& sk = scalar();
   for (const Kernels* vk : dispatched_backends()) {

@@ -223,7 +223,8 @@ TEST(Mutex, RegistryRanksAreStrictlyLayered) {
   EXPECT_LT(support::kRankPoolQueue, support::kRankParallelForState);
   EXPECT_LT(support::kRankParallelForState, support::kRankStreamOut);
   EXPECT_LT(support::kRankStreamOut, support::kRankStreamFlight);
-  EXPECT_LT(support::kRankStreamFlight, support::kRankWorkerChannel);
+  EXPECT_LT(support::kRankStreamFlight, support::kRankConnWriter);
+  EXPECT_LT(support::kRankConnWriter, support::kRankWorkerChannel);
 }
 
 // A minimal producer/consumer over Mutex+CondVar, annotated the way the

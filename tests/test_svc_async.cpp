@@ -4,7 +4,9 @@
 // path, and the epoll event loop end to end over real sockets — including
 // bit-identity against the PR 5 blocking submit path, oversized-frame
 // resync, idle timeouts, write backpressure, graceful-shutdown flushing,
-// and the non-blocking load-generator harness. Runs under the svc_equiv
+// pool workers writing (and spilling) responses beside the loop, responses
+// of a closed connection dropped, and the non-blocking load-generator
+// harness. Runs under the svc_equiv
 // ctest label (TSan in CI).
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include "etcgen/range_based.hpp"
 #include "etcgen/rng.hpp"
 #include "io/json.hpp"
+#include "pool_gate.hpp"
 #include "svc/event_loop.hpp"
 #include "svc/loadgen.hpp"
 #include "svc/result_cache.hpp"
@@ -448,6 +451,15 @@ class TestClient {
     }
   }
 
+  /// Closes with an RST (zero linger): the server sees the connection
+  /// fail at once, whatever it still owes.
+  void reset() {
+    const linger lg{1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof lg);
+    ::close(fd_);
+    fd_ = -1;
+  }
+
   /// True when the peer has closed (EOF observed).
   bool at_eof() {
     char byte;
@@ -686,6 +698,126 @@ TEST(SvcEventLoop, GracefulShutdownFlushesInFlight) {
   EXPECT_EQ(*got, call(twin, line));
   EXPECT_FALSE(client.recv_line().has_value());  // then EOF
   loop.wait();
+}
+
+TEST(SvcEventLoop, ComputeOnThePoolOutlivesItsClosedConnection) {
+  // One pool thread, parked behind a gate: the characterize is queued when
+  // its connection dies, and a new connection (which may reuse the fd) is
+  // open when it finally runs. Its response must be dropped — the only
+  // bytes the server writes afterwards are the new connection's.
+  svc::ServerOptions options;
+  options.threads = 1;
+  svc::Server server(options);
+  svc::EventLoopServer loop(server);
+  std::ostringstream log;
+  ASSERT_TRUE(loop.start(log));
+  const auto& gauges = server.metrics().connections();
+  const auto& characterize =
+      server.metrics().kind(svc::RequestKind::characterize);
+
+  hetero::testing::PoolGate gate(server.pool());
+  {
+    TestClient doomed(loop.port());
+    ASSERT_TRUE(doomed.connected());
+    ASSERT_TRUE(doomed.send_all(
+        request_line(test_matrix(48, 8, 61), "characterize") + "\n"));
+    ASSERT_TRUE(hetero::testing::wait_until(
+        [&] { return characterize.received.load() == 1; }));
+    doomed.reset();
+  }
+  ASSERT_TRUE(
+      hetero::testing::wait_until([&] { return gauges.active.load() == 0; }));
+
+  TestClient next(loop.port());
+  ASSERT_TRUE(next.connected());
+  ASSERT_TRUE(
+      hetero::testing::wait_until([&] { return gauges.active.load() == 1; }));
+  const std::uint64_t bytes_before = gauges.bytes_out.load();
+  gate.release();
+  // FIFO pool: this answer comes after the orphaned compute has run.
+  const auto got = roundtrip(
+      next, "{\"id\":5,\"kind\":\"measures\",\"etc\":[[1,2],[3,4]]}");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->rfind("{\"id\":5,\"ok\":true", 0), 0u) << *got;
+  EXPECT_EQ(characterize.completed.load(), 1u);  // it did run
+  // The writer counts its bytes after the socket took them, so the count
+  // may trail the client's read by a moment.
+  const std::uint64_t expected = got->size() + 1;
+  hetero::testing::wait_until(
+      [&] { return gauges.bytes_out.load() - bytes_before >= expected; });
+  EXPECT_EQ(gauges.bytes_out.load() - bytes_before, expected);
+}
+
+TEST(SvcEventLoop, LoopAndPoolWritesInterleaveWholeLines) {
+  // Memo hits and inline 400s are written by the loop, cold computes by
+  // two pool threads, all on one connection whose send buffer is tiny and
+  // whose peer does not read until everything is sent — so pool threads
+  // find the socket full and spill behind each other and the loop. Every
+  // line must still arrive whole, exactly once.
+  svc::ServerOptions server_options;
+  server_options.threads = 2;
+  svc::Server server(server_options);
+  svc::EventLoopOptions options;
+  options.send_buffer_bytes = 4096;
+  svc::EventLoopServer loop(server, options);
+  std::ostringstream log;
+  ASSERT_TRUE(loop.start(log));
+
+  TestClient client(loop.port(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(client.connected());
+  const std::string memo_line =
+      request_line(test_matrix(10, 4, 62), "characterize", ",\"id\":7");
+  // Cold (pool), then warm (inline cache hit, memoized).
+  ASSERT_TRUE(roundtrip(client, memo_line).has_value());
+  ASSERT_TRUE(roundtrip(client, memo_line).has_value());
+
+  std::string burst;
+  std::size_t memo_sent = 0;
+  std::size_t bad_sent = 0;
+  std::set<std::uint64_t> fresh_ids;
+  for (std::uint64_t i = 0; i < 240; ++i) {
+    switch (i % 3) {
+      case 0:
+        burst += memo_line;
+        ++memo_sent;
+        break;
+      case 1:
+        burst += "not json";
+        ++bad_sent;
+        break;
+      default:
+        burst += request_line(test_matrix(24, 6, 1000 + i), "characterize",
+                              ",\"id\":" + std::to_string(1000 + i));
+        fresh_ids.insert(1000 + i);
+    }
+    burst += '\n';
+  }
+  ASSERT_TRUE(client.send_all(burst));
+
+  std::size_t memo_got = 0;
+  std::size_t bad_got = 0;
+  std::set<std::uint64_t> fresh_got;
+  for (std::size_t n = 0; n < 240; ++n) {
+    const auto line = client.recv_line();
+    ASSERT_TRUE(line.has_value()) << "response " << n << " missing";
+    io::JsonValue doc;
+    ASSERT_NO_THROW(doc = io::parse_json(*line)) << *line;
+    const io::JsonValue* id = doc.find("id");
+    ASSERT_NE(id, nullptr) << *line;
+    if (id->is_null()) {
+      ++bad_got;
+      continue;
+    }
+    const auto value = static_cast<std::uint64_t>(id->as_number());
+    EXPECT_NE(doc.find("result"), nullptr) << *line;
+    if (value == 7)
+      ++memo_got;
+    else
+      EXPECT_TRUE(fresh_got.insert(value).second) << "duplicate " << value;
+  }
+  EXPECT_EQ(memo_got, memo_sent);
+  EXPECT_EQ(bad_got, bad_sent);
+  EXPECT_EQ(fresh_got, fresh_ids);
 }
 
 TEST(SvcEventLoop, LoadGenClosedLoopSmoke) {

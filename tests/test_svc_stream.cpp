@@ -2,26 +2,35 @@
 // session state machine, equivalence with a directly-driven
 // core::MeasureView, 400s for sessionless front ends, byte-identical
 // responses across worker thread counts, and memo/cache bypass through the
-// epoll event loop over a real socket. Runs under the `stream_equiv` ctest
+// epoll event loop over a real socket — where session ops run on the pool
+// one at a time per connection, in arrival order, and outlive a closed
+// connection without writing to it; bytes a peer streams behind a queued
+// session op stay unread in its socket. Runs under the `stream_equiv` ctest
 // label (TSan in CI).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/measure_view.hpp"
 #include "etcgen/range_based.hpp"
 #include "etcgen/rng.hpp"
 #include "io/json.hpp"
+#include "pool_gate.hpp"
 #include "svc/event_loop.hpp"
 #include "svc/server.hpp"
 #include "svc/session.hpp"
@@ -221,6 +230,21 @@ class TestClient {
 
   bool connected() const { return connected_; }
 
+  /// Turns off Nagle so every send() leaves as its own segment.
+  void set_nodelay() {
+    const int enable = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof enable);
+  }
+
+  /// Closes with an RST (zero linger): the server sees the connection
+  /// fail at once, whatever it still owes.
+  void reset() {
+    const linger lg{1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof lg);
+    ::close(fd_);
+    fd_ = -1;
+  }
+
   bool send_all(std::string_view data) {
     std::size_t off = 0;
     while (off < data.size()) {
@@ -340,6 +364,173 @@ TEST(SvcStream, ResubscribeReplacesView) {
   EXPECT_NE(got.find("\"tasks\":10"), std::string::npos) << got;
   EXPECT_NE(got.find("\"machines\":5"), std::string::npos) << got;
   EXPECT_NE(got.find("\"version\":0"), std::string::npos) << got;
+}
+
+/// The "version" member of a session response, or -1.
+long version_of(const std::string& response) {
+  const std::size_t at = response.find("\"version\":");
+  if (at == std::string::npos) return -1;
+  return std::strtol(response.c_str() + at + 10, nullptr, 10);
+}
+
+/// A subscribe followed by 50 set updates, as one NDJSON stream.
+std::string fifty_update_stream(const EtcMatrix& etc) {
+  std::string stream = subscribe_line(etc) + "\n";
+  for (int i = 0; i < 50; ++i)
+    stream += update_line("\"set\":[{\"task\":" + std::to_string(i % 6) +
+                          ",\"machine\":" + std::to_string(i % 3) +
+                          ",\"etc\":" + std::to_string(1 + i % 7) +
+                          ".5}]") +
+              "\n";
+  return stream;
+}
+
+void expect_versions_in_order(TestClient& client) {
+  for (long v = 0; v <= 50; ++v) {
+    const auto got = client.recv_line();
+    ASSERT_TRUE(got.has_value()) << "missing response " << v;
+    ASSERT_TRUE(is_ok(*got)) << *got;
+    EXPECT_EQ(version_of(*got), v) << *got;
+  }
+}
+
+TEST(SvcStream, PipelinedUpdatesInOneWriteAnswerInOrder) {
+  svc::Server server;
+  svc::EventLoopServer loop(server);
+  std::ostringstream log;
+  ASSERT_TRUE(loop.start(log));
+  // The loop decodes all 51 frames from one read, but may send only one
+  // session op at a time to the pool: each update must see its
+  // predecessor's version. The view is big enough that an update takes
+  // longer than decoding the next frame, so idle pool workers would race
+  // for the session if the loop let them; a race does not lose every
+  // time, hence several connections.
+  const std::string stream = fifty_update_stream(test_matrix(128, 16, 41));
+  for (int round = 0; round < 8; ++round) {
+    TestClient client(loop.port());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.send_all(stream));
+    expect_versions_in_order(client);
+  }
+}
+
+TEST(SvcStream, PipelinedUpdatesOneBytePerWriteAnswerInOrder) {
+  svc::Server server;
+  svc::EventLoopServer loop(server);
+  std::ostringstream log;
+  ASSERT_TRUE(loop.start(log));
+  TestClient client(loop.port());
+  ASSERT_TRUE(client.connected());
+  client.set_nodelay();
+  const std::string stream = fifty_update_stream(test_matrix(6, 3, 41));
+  for (const char c : stream)
+    ASSERT_TRUE(client.send_all(std::string_view(&c, 1)));
+  expect_versions_in_order(client);
+}
+
+TEST(SvcStream, UpdateOnThePoolOutlivesItsClosedConnection) {
+  // One pool thread, parked behind a gate: the update is queued when its
+  // connection dies, and a new connection (which may reuse the fd) is open
+  // when the update finally runs. Its response must be dropped — the only
+  // bytes the server writes afterwards are the new connection's.
+  svc::ServerOptions options;
+  options.threads = 1;
+  svc::Server server(options);
+  svc::EventLoopServer loop(server);
+  std::ostringstream log;
+  ASSERT_TRUE(loop.start(log));
+  const auto& gauges = server.metrics().connections();
+  const auto& updates = server.metrics().kind(svc::RequestKind::update);
+
+  auto doomed = std::make_unique<TestClient>(loop.port());
+  ASSERT_TRUE(doomed->connected());
+  const auto sub = roundtrip(*doomed, subscribe_line(test_matrix(40, 8, 43)));
+  ASSERT_TRUE(sub.has_value() && is_ok(*sub));
+
+  hetero::testing::PoolGate gate(server.pool());
+  ASSERT_TRUE(doomed->send_all(
+      update_line("\"set\":[{\"task\":1,\"machine\":2,\"etc\":3.5}]") + "\n"));
+  ASSERT_TRUE(hetero::testing::wait_until(
+      [&] { return updates.received.load() == 1; }));
+  doomed->reset();
+  ASSERT_TRUE(
+      hetero::testing::wait_until([&] { return gauges.active.load() == 0; }));
+
+  TestClient next(loop.port());
+  ASSERT_TRUE(next.connected());
+  ASSERT_TRUE(
+      hetero::testing::wait_until([&] { return gauges.active.load() == 1; }));
+  const std::uint64_t bytes_before = gauges.bytes_out.load();
+  gate.release();
+  // FIFO pool: this answer comes after the orphaned update has run.
+  const auto got = roundtrip(
+      next, "{\"id\":5,\"kind\":\"measures\",\"etc\":[[1,2],[3,4]]}");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->rfind("{\"id\":5,\"ok\":true", 0), 0u) << *got;
+  EXPECT_EQ(updates.completed.load(), 1u);  // the update did run
+  // The writer counts its bytes after the socket took them, so the count
+  // may trail the client's read by a moment.
+  const std::uint64_t expected = got->size() + 1;
+  hetero::testing::wait_until(
+      [&] { return gauges.bytes_out.load() - bytes_before >= expected; });
+  EXPECT_EQ(gauges.bytes_out.load() - bytes_before, expected);
+}
+
+TEST(SvcStream, BytesBehindAQueuedSessionOpStayInTheSocket) {
+  // A subscribe waits on a parked one-thread pool while the peer streams
+  // megabytes of one endless line. The loop must read none of it (the
+  // socket's receive window holds the peer back) instead of piling it
+  // into the framer for as long as the op waits; once the op is answered
+  // the line is read, discarded past max_frame_bytes and answered with a
+  // 400, and the session goes on.
+  svc::ServerOptions options;
+  options.threads = 1;
+  svc::Server server(options);
+  svc::EventLoopOptions loop_options;
+  loop_options.max_frame_bytes = 64u << 10;
+  svc::EventLoopServer loop(server, loop_options);
+  std::ostringstream log;
+  ASSERT_TRUE(loop.start(log));
+  const auto& gauges = server.metrics().connections();
+  const auto& subscribes = server.metrics().kind(svc::RequestKind::subscribe);
+
+  TestClient client(loop.port());
+  ASSERT_TRUE(client.connected());
+  hetero::testing::PoolGate gate(server.pool());
+  const std::string sub = subscribe_line(test_matrix(6, 3, 47)) + "\n";
+  ASSERT_TRUE(client.send_all(sub));
+  ASSERT_TRUE(hetero::testing::wait_until(
+      [&] { return subscribes.received.load() == 1; }));
+  ASSERT_EQ(gauges.bytes_in.load(), sub.size());
+
+  constexpr std::size_t kStreamBytes = 4u << 20;
+  std::thread streamer([&] {
+    const std::string chunk(64u << 10, 'x');
+    for (std::size_t sent = 0; sent < kStreamBytes; sent += chunk.size())
+      if (!client.send_all(chunk)) return;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(gauges.bytes_in.load(), sub.size());
+
+  gate.release();
+  const auto subscribed = client.recv_line();
+  streamer.join();  // before any fatal assertion can skip it
+  ASSERT_TRUE(subscribed.has_value());
+  EXPECT_TRUE(is_ok(*subscribed)) << *subscribed;
+  EXPECT_EQ(version_of(*subscribed), 0) << *subscribed;
+  const auto oversized = roundtrip(client, "");
+  ASSERT_TRUE(oversized.has_value());
+  EXPECT_TRUE(is_error(*oversized, 400)) << *oversized;
+  EXPECT_NE(oversized->find("frame exceeds"), std::string::npos)
+      << *oversized;
+  EXPECT_EQ(gauges.oversized_frames.load(), 1u);
+  const std::string update =
+      update_line("\"set\":[{\"task\":1,\"machine\":2,\"etc\":3.5}]");
+  const auto updated = roundtrip(client, update);
+  ASSERT_TRUE(updated.has_value());
+  EXPECT_EQ(version_of(*updated), 1) << *updated;
+  EXPECT_EQ(gauges.bytes_in.load(),
+            sub.size() + kStreamBytes + 1 + update.size() + 1);
 }
 
 }  // namespace
