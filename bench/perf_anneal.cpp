@@ -18,6 +18,8 @@
 #include "etcgen/rng.hpp"
 #include "etcgen/target_measures.hpp"
 #include "linalg/svd.hpp"
+#include "reference/standard_form.hpp"
+#include "reference/svd.hpp"
 
 namespace {
 

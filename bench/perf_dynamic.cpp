@@ -3,11 +3,12 @@
 // arrivals): immediate modes bind each arrival once; batch mode re-plans
 // the unstarted set at every arrival and completion. The batch_* tokens
 // warm-start the incremental BatchEngine from the previous event, while
-// the *Reference variants run their cold twins (quadratic-ish in the queue
-// depth) for before/after comparison.
+// the *Reference variants run the cold re-planner of hetero_reference
+// (quadratic-ish in the queue depth) for before/after comparison.
 #include <benchmark/benchmark.h>
 
 #include "etcgen/range_based.hpp"
+#include "reference/cold_batch.hpp"
 #include "sim/engine.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/workload.hpp"
@@ -38,7 +39,8 @@ void run(benchmark::State& state, const char* token) {
   const Fixture f = make_fixture(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     sim::Engine engine(f.scenario, f.arrivals, {.tick_period = 0.0});
-    const sim::SimReport r = engine.run(*sim::make_scheduler(token));
+    const sim::SimReport r =
+        engine.run(*sim::reference::make_scheduler_or_cold(token));
     benchmark::DoNotOptimize(r.end_time);
   }
 }

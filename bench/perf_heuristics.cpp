@@ -9,6 +9,7 @@
 #include "etcgen/range_based.hpp"
 #include "etcgen/rng.hpp"
 #include "parallel/thread_pool.hpp"
+#include "reference/heuristics.hpp"
 #include "sched/evolutionary.hpp"
 #include "sched/heuristics.hpp"
 

@@ -1,5 +1,5 @@
-// Microbenchmarks of the direct solvers and factorizations used by the
-// regression/analysis layers, plus the two kernels behind a warm
+// Microbenchmarks of the QR factorization and least-squares solvers used
+// by the regression/analysis layers, plus the two kernels behind a warm
 // core::MeasureView update (the tall Gram build and the warm eigensolve).
 #include <benchmark/benchmark.h>
 
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "linalg/jacobi_eigen.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
 
@@ -22,27 +21,6 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, unsigned seed) {
   for (double& x : m.data()) x = dist(rng);
   return m;
 }
-
-void BM_LuSolve(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix a = random_matrix(n, n, 1);
-  std::vector<double> b(n, 1.0);
-  for (auto _ : state) {
-    auto x = hetero::linalg::solve(a, b);
-    benchmark::DoNotOptimize(x.data());
-  }
-}
-BENCHMARK(BM_LuSolve)->Arg(8)->Arg(32)->Arg(128);
-
-void BM_LuInverse(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix a = random_matrix(n, n, 2);
-  for (auto _ : state) {
-    auto inv = hetero::linalg::inverse(a);
-    benchmark::DoNotOptimize(inv.data());
-  }
-}
-BENCHMARK(BM_LuInverse)->Arg(8)->Arg(32)->Arg(64);
 
 void BM_QrFactor(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -10,6 +10,8 @@
 #include "core/measures.hpp"
 #include "linalg/svd.hpp"
 #include "parallel/thread_pool.hpp"
+#include "reference/standard_form.hpp"
+#include "reference/svd.hpp"
 #include "spec/spec_data.hpp"
 
 namespace {

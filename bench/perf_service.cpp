@@ -76,8 +76,8 @@
 #include "etcgen/range_based.hpp"
 #include "etcgen/rng.hpp"
 #include "io/json.hpp"
+#include "reference/loadgen.hpp"
 #include "svc/event_loop.hpp"
-#include "svc/loadgen.hpp"
 #include "svc/server.hpp"
 
 namespace {

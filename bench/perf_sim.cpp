@@ -1,8 +1,9 @@
 // Simulator performance: full discrete-event runs over the shipped
 // scenarios, per scheduler. The interesting spread is cold O(U^2 M)
-// batch replanning (min_min / max_min) against the incremental
-// BatchEngine adapters (batch_*) and immediate-mode greedy_mct — same
-// traces (sim_equiv), different planning cost.
+// batch replanning (min_min / max_min / sufferage, the re-planner of
+// hetero_reference) against the incremental BatchEngine adapters
+// (batch_*) and immediate-mode greedy_mct — same traces (sim_equiv),
+// different planning cost.
 //
 // Custom main: --scenario=<path> replaces the default scenario-suite
 // sweep (used by run_benchmarks.sh SCENARIO= passthrough). Scenario
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "reference/cold_batch.hpp"
 #include "sim/engine.hpp"
 #include "sim/scenario.hpp"
 #include "sim/scheduler.hpp"
@@ -48,7 +50,7 @@ void run_sim(benchmark::State& state, std::size_t scenario_index,
   std::size_t events = 0;
   double energy = 0.0;
   for (auto _ : state) {
-    const auto scheduler = sim::make_scheduler(token);
+    const auto scheduler = sim::reference::make_scheduler_or_cold(token);
     sim::Engine engine(scenario, options);
     const sim::SimReport report = engine.run(*scheduler);
     events = report.events;
@@ -66,10 +68,13 @@ void register_scenario(const std::string& path) {
   scenario_pool().push_back(sim::load_scenario(path));
   const std::size_t index = scenario_pool().size() - 1;
   const std::string stem = stem_of(path);
-  for (const std::string_view token : sim::scheduler_tokens()) {
+  std::vector<std::string> tokens = {"min_min", "max_min", "sufferage"};
+  for (const std::string_view token : sim::scheduler_tokens())
+    tokens.emplace_back(token);
+  for (const std::string& token : tokens) {
     benchmark::RegisterBenchmark(
-        ("BM_Sim/" + stem + "/" + std::string(token)).c_str(),
-        [index, token = std::string(token)](benchmark::State& state) {
+        ("BM_Sim/" + stem + "/" + token).c_str(),
+        [index, token](benchmark::State& state) {
           run_sim(state, index, token, /*controllers=*/false);
         })
         ->Unit(benchmark::kMillisecond);

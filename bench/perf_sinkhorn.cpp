@@ -10,6 +10,7 @@
 #include "core/standard_form.hpp"
 #include "graph/structure.hpp"
 #include "parallel/thread_pool.hpp"
+#include "reference/standard_form.hpp"
 
 namespace {
 

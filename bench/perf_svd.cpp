@@ -10,6 +10,7 @@
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/rsvd.hpp"
 #include "linalg/svd.hpp"
+#include "reference/svd.hpp"
 
 namespace {
 

@@ -26,7 +26,8 @@
 # measuring what the host ISA buys on top of the dispatched kernels.
 #
 # Set CLIENTS to additionally run the perf_service TCP harness (the epoll
-# event loop driven by the non-blocking loadgen over real sockets) at that
+# event loop driven over real sockets by the non-blocking loadgen of
+# hetero_reference, reference/loadgen.cpp) at that
 # many concurrent connections, recording BENCH_<tag>_service_tcp.json;
 # WORKERS (default 1) sets the event-loop thread count and REQUESTS
 # (default 100) the per-client request count, e.g.
@@ -48,7 +49,8 @@
 # recording one JSON array in BENCH_<tag>_service_openloop.json.
 #
 # Set SIM=1 to run only the simulator suite (perf_sim): full discrete-event
-# runs over the shipped scenarios/ files per scheduler, recorded as
+# runs over the shipped scenarios/ files per scheduler token, plus the cold
+# min_min/max_min/sufferage re-planners of hetero_reference, recorded as
 # BENCH_<tag>_sim.json. SCENARIO narrows the sweep to specific files
 # (comma list of paths), e.g.
 #   SIM=1 SCENARIO=scenarios/starvation.sim bench/run_benchmarks.sh pr10

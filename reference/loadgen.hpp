@@ -1,4 +1,6 @@
 // Non-blocking load-generator harness for the characterization service.
+// A client of the service, not part of it: bench/perf_service and the
+// svc_equiv tests link it from hetero_reference.
 //
 // One LoadGen thread drives up to tens of thousands of concurrent TCP
 // client connections from a single epoll loop (mirroring the server's

@@ -2,40 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <string>
 
+#include "core/standard_form_internal.hpp"
 #include "graph/structure.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/simd.hpp"
 
 namespace hetero::core {
-namespace {
 
 using linalg::Matrix;
 
-// Scale factors on huge ill-conditioned inputs can escape double range: a
-// tiny-but-positive sum maps to an overflowing factor (whose next product
-// is inf, then 0 * inf = NaN), and entries near DBL_MAX push the sums
-// themselves to infinity. A huge-but-finite factor is recoverable — it is
-// clamped, the pass rescales the dimension to a sane magnitude, and the
-// next pass resumes from there (Sinkhorn's fixed point is invariant to the
-// intermediate per-pass scaling) — so the clamp caps factors at
-// sqrt(DBL_MAX), keeping any product of two consecutive factors finite. A
-// non-finite or non-positive sum means the matrix itself has already left
-// the representable range: that surfaces as ScaleOverflowError instead of
-// silent NaN propagation. For well-scaled inputs neither branch fires and
-// the computed factors are unchanged, preserving the bit-identity
-// contracts between the fused and reference paths.
-constexpr double kMaxScaleFactor = 1.34078079299425956e154;  // sqrt(DBL_MAX)
-
-double checked_scale_factor(double target, double sum) {
-  if (!(sum > 0.0) || sum > std::numeric_limits<double>::max())
-    throw ScaleOverflowError(
-        "standardize: a row/column sum overflowed or vanished; the input "
-        "is too ill-conditioned to scale in double precision");
-  const double f = target / sum;
-  return f > kMaxScaleFactor ? kMaxScaleFactor : f;
-}
+namespace internal {
 
 void validate_input(const Matrix& m) {
   detail::require_value(!m.empty(), "standardize: empty matrix");
@@ -65,48 +43,11 @@ void validate_warm_scale(const std::vector<double>& scale, std::size_t dim,
                      " entries must be positive and finite");
 }
 
-// Setup of the unfused reference: targets, pattern diagnosis, working copy
-// (core-projected when limit_only) and the warm-start seed folded into the
-// working matrix and the scale vectors. The kernel below fuses the copy,
-// the seed and the sum priming into one pass with the same arithmetic.
-void prepare(const Matrix& ecs, const SinkhornOptions& options,
-             StandardFormResult& result, Matrix& work) {
-  validate_input(ecs);
-  validate_warm_scale(options.warm_row_scale, ecs.rows(), "warm_row_scale");
-  validate_warm_scale(options.warm_col_scale, ecs.cols(), "warm_col_scale");
-  const auto t = static_cast<double>(ecs.rows());
-  const auto m = static_cast<double>(ecs.cols());
+}  // namespace internal
 
-  result.target_row_sum = std::sqrt(m / t);  // Mk with k = 1/sqrt(TM)
-  result.target_col_sum = std::sqrt(t / m);  // Tk
-  result.pattern = classify_pattern(ecs);
-  result.row_scale.assign(ecs.rows(), 1.0);
-  result.col_scale.assign(ecs.cols(), 1.0);
-
-  work = ecs;
-  if (result.pattern == NormalizabilityClass::limit_only) {
-    // Entries off every positive diagonal decay to zero in the Sinkhorn
-    // limit but only at rate O(1/k); dropping them up front leaves the
-    // limit unchanged and restores geometric convergence.
-    work = *graph::support_core(ecs);
-    result.projected_to_core = true;
-  }
-
-  if (!options.warm_row_scale.empty() || !options.warm_col_scale.empty()) {
-    if (!options.warm_row_scale.empty())
-      result.row_scale = options.warm_row_scale;
-    if (!options.warm_col_scale.empty())
-      result.col_scale = options.warm_col_scale;
-    for (std::size_t i = 0; i < work.rows(); ++i) {
-      const double ri = result.row_scale[i];
-      auto row = work.row(i);
-      for (std::size_t j = 0; j < work.cols(); ++j)
-        row[j] *= ri * result.col_scale[j];
-    }
-  }
-}
-
-}  // namespace
+using internal::checked_scale_factor;
+using internal::validate_input;
+using internal::validate_warm_scale;
 
 NormalizabilityClass classify_pattern(const Matrix& ecs) {
   if (ecs.all_positive()) return NormalizabilityClass::positive;
@@ -163,7 +104,7 @@ struct SinkhornScratch {
 // row order and per-row sums use the kernel layer's fixed 4-lane order,
 // exactly how the reference's col_sum/row_sum scans accumulate, so with
 // one tile every scale factor (and therefore the result) is bit-identical
-// to standardize_reference.
+// to standardize_reference (reference/standard_form.cpp).
 void run_sinkhorn(const Matrix& src, const SinkhornOptions& options,
                   StandardFormResult& result, SinkhornScratch& scratch,
                   std::size_t tile_rows, par::ThreadPool* pool) {
@@ -345,54 +286,6 @@ void standardize_positive_into(const Matrix& ecs,
   out.projected_to_core = false;
   thread_local SinkhornScratch scratch;
   run_sinkhorn(ecs, options, out, scratch, ecs.rows(), nullptr);
-}
-
-StandardFormResult standardize_reference(const Matrix& ecs,
-                                         const SinkhornOptions& options) {
-  StandardFormResult result;
-  Matrix work;
-  prepare(ecs, options, result, work);
-
-  const auto column_pass = [&] {
-    for (std::size_t j = 0; j < work.cols(); ++j) {
-      const double f =
-          checked_scale_factor(result.target_col_sum, work.col_sum(j));
-      work.scale_col(j, f);
-      result.col_scale[j] *= f;
-    }
-  };
-  const auto row_pass = [&] {
-    for (std::size_t i = 0; i < work.rows(); ++i) {
-      const double f =
-          checked_scale_factor(result.target_row_sum, work.row_sum(i));
-      work.scale_row(i, f);
-      result.row_scale[i] *= f;
-    }
-  };
-
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    if (options.row_first) {
-      row_pass();
-      column_pass();
-    } else {
-      column_pass();
-      row_pass();
-    }
-    result.iterations = it + 1;
-    result.residual = standard_form_residual(work, result.target_row_sum,
-                                             result.target_col_sum);
-    if (result.residual < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.standard = std::move(work);
-  if (!result.converged && options.throw_on_failure)
-    throw ConvergenceError(
-        "standardize: Sinkhorn iteration did not reach tolerance (pattern "
-        "may be decomposable; see Section VI)");
-  return result;
 }
 
 StandardFormResult standardize_tiled(const Matrix& ecs,

@@ -101,8 +101,9 @@ struct StandardFormResult {
 /// in row-major order, scaling it and accumulating both dimensions' sums
 /// (hence the convergence residual) as it goes, so no strided column
 /// traversals or separate residual passes are needed. Summation order
-/// matches the unfused reference exactly, so results are bit-identical to
-/// standardize_reference for empty warm-start seeds.
+/// matches the unfused yardstick exactly, so results are bit-identical to
+/// standardize_reference (reference/standard_form.hpp) for empty
+/// warm-start seeds.
 StandardFormResult standardize(const linalg::Matrix& ecs,
                                const SinkhornOptions& options = {});
 
@@ -134,12 +135,6 @@ StandardFormResult standardize_tiled(const linalg::Matrix& ecs,
                                      const SinkhornOptions& options,
                                      par::ThreadPool& pool,
                                      std::size_t tile_rows = 64);
-
-/// Unfused baseline implementation (per-column strided sums, separate
-/// residual pass). Kept for equivalence tests and before/after perf
-/// benchmarks; prefer standardize() everywhere else.
-StandardFormResult standardize_reference(const linalg::Matrix& ecs,
-                                         const SinkhornOptions& options = {});
 
 /// Runs eq. 9 on the weighted view of an ECS matrix.
 StandardFormResult standardize(const EcsMatrix& ecs, const Weights& w = {},

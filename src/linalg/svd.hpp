@@ -42,13 +42,6 @@ SvdResult svd(const Matrix& a, const SvdOptions& options = {});
 std::vector<double> singular_values(const Matrix& a,
                                     const SvdOptions& options = {});
 
-/// Singular values via the pre-optimization Jacobi kernel (three dot
-/// products per column pair, strided row-major access). Kept for the
-/// equivalence tests and before/after perf benchmarks; prefer
-/// singular_values() everywhere else.
-std::vector<double> singular_values_reference(const Matrix& a,
-                                              const SvdOptions& options = {});
-
 /// Singular values via the eigenvalues of the min-dimension Gram matrix,
 /// sorted descending. Costs one min^2 * max Gram build plus a min-sized
 /// symmetric Jacobi solve — far cheaper than one-sided Jacobi on the full

@@ -66,7 +66,8 @@ class BatchEngine {
   BatchEngine(const core::EtcMatrix& etc, BatchPolicy policy);
 
   /// One-shot static mapping: slot k runs task type tasks[k], machine loads
-  /// start at zero. Bit-identical to the reference batch_mode greedy.
+  /// start at zero. Bit-identical to the batch_mode greedy of
+  /// reference/heuristics.cpp.
   Assignment map_static(const TaskList& tasks);
 
   // --- incremental epoch interface (arrival-driven batch mode) ---

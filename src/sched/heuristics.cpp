@@ -6,6 +6,7 @@
 
 #include "base/error.hpp"
 #include "sched/batch_engine.hpp"
+#include "sched/heuristics_internal.hpp"
 #include "simd/simd.hpp"
 
 namespace hetero::sched {
@@ -13,57 +14,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-void check_tasks(const core::EtcMatrix& etc, const TaskList& tasks) {
-  for (std::size_t t : tasks)
-    detail::require_dims(t < etc.task_count(),
-                         "heuristic: task index out of range");
-}
-
-// Machine minimizing completion time load[j] + etc(t, j); infinite entries
-// yield infinite completion times, which never win the strict scan (every
-// task has a finite entry by invariant).
-std::size_t best_machine(const core::EtcMatrix& etc,
-                         const std::vector<double>& load, std::size_t t) {
-  double best_ct = kInf, second_ct = kInf;
-  std::size_t best = 0;
-  simd::kernels().best_second_scan(etc.values().row(t).data(), load.data(),
-                                   etc.machine_count(), &best_ct, &second_ct,
-                                   &best);
-  return best;
-}
-
-// Pre-optimization O(T^2 M) batch-mode skeleton shared by the reference
-// twins of Min-Min, Max-Min, and Sufferage: repeatedly pick the "most
-// critical" unmapped task per `priority` (higher wins) and commit it to its
-// best machine. Retained verbatim as the equivalence yardstick for the
-// incremental BatchEngine (the fast paths must match it bit for bit).
-template <typename PriorityFn>
-Assignment batch_mode(const core::EtcMatrix& etc, const TaskList& tasks,
-                      PriorityFn&& priority) {
-  std::vector<double> load(etc.machine_count(), 0.0);
-  Assignment assignment(tasks.size(), 0);
-  std::vector<bool> mapped(tasks.size(), false);
-
-  for (std::size_t round = 0; round < tasks.size(); ++round) {
-    double best_priority = -kInf;
-    std::size_t chosen = 0;
-    std::size_t chosen_machine = 0;
-    for (std::size_t k = 0; k < tasks.size(); ++k) {
-      if (mapped[k]) continue;
-      const std::size_t j = best_machine(etc, load, tasks[k]);
-      const double p = priority(tasks[k], j, load);
-      if (p > best_priority) {
-        best_priority = p;
-        chosen = k;
-        chosen_machine = j;
-      }
-    }
-    assignment[chosen] = chosen_machine;
-    load[chosen_machine] += etc(tasks[chosen], chosen_machine);
-    mapped[chosen] = true;
-  }
-  return assignment;
-}
+using internal::best_machine;
+using internal::check_tasks;
 
 }  // namespace
 
@@ -135,49 +87,6 @@ Assignment map_max_min(const core::EtcMatrix& etc, const TaskList& tasks) {
 Assignment map_sufferage(const core::EtcMatrix& etc, const TaskList& tasks) {
   check_tasks(etc, tasks);
   return BatchEngine(etc, BatchPolicy::sufferage).map_static(tasks);
-}
-
-Assignment map_min_min_reference(const core::EtcMatrix& etc,
-                                 const TaskList& tasks) {
-  check_tasks(etc, tasks);
-  return batch_mode(etc, tasks,
-                    [&](std::size_t t, std::size_t j,
-                        const std::vector<double>& load) {
-                      return -(load[j] + etc(t, j));  // smallest CT first
-                    });
-}
-
-Assignment map_max_min_reference(const core::EtcMatrix& etc,
-                                 const TaskList& tasks) {
-  check_tasks(etc, tasks);
-  return batch_mode(etc, tasks,
-                    [&](std::size_t t, std::size_t j,
-                        const std::vector<double>& load) {
-                      return load[j] + etc(t, j);  // largest CT first
-                    });
-}
-
-Assignment map_sufferage_reference(const core::EtcMatrix& etc,
-                                   const TaskList& tasks) {
-  check_tasks(etc, tasks);
-  return batch_mode(
-      etc, tasks,
-      [&](std::size_t t, std::size_t /*best_j*/,
-          const std::vector<double>& load) {
-        // Sufferage = second-best CT minus best CT.
-        double best_ct = kInf, second_ct = kInf;
-        for (std::size_t j = 0; j < etc.machine_count(); ++j) {
-          if (std::isinf(etc(t, j))) continue;
-          const double ct = load[j] + etc(t, j);
-          if (ct < best_ct) {
-            second_ct = best_ct;
-            best_ct = ct;
-          } else {
-            second_ct = std::min(second_ct, ct);
-          }
-        }
-        return std::isinf(second_ct) ? kInf : second_ct - best_ct;
-      });
 }
 
 Assignment map_duplex(const core::EtcMatrix& etc, const TaskList& tasks) {

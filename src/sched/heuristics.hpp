@@ -37,18 +37,6 @@ Assignment map_max_min(const core::EtcMatrix& etc, const TaskList& tasks);
 Assignment map_sufferage(const core::EtcMatrix& etc, const TaskList& tasks);
 Assignment map_duplex(const core::EtcMatrix& etc, const TaskList& tasks);
 
-/// Pre-optimization O(T^2 * M) implementations of the three batch-mode
-/// heuristics, retained verbatim as the equivalence yardstick for the
-/// incremental engine (sched/batch_engine.hpp): the fast paths above must
-/// produce bit-identical assignments, tie-breaks included (asserted by the
-/// `sched_equiv` test label; measured by bench/perf_heuristics).
-Assignment map_min_min_reference(const core::EtcMatrix& etc,
-                                 const TaskList& tasks);
-Assignment map_max_min_reference(const core::EtcMatrix& etc,
-                                 const TaskList& tasks);
-Assignment map_sufferage_reference(const core::EtcMatrix& etc,
-                                   const TaskList& tasks);
-
 /// OLB pick over raw values: the earliest-available (lowest current load)
 /// machine with a finite ETC entry for task `t`. Throws ValueError when the
 /// task runs on no machine — the EtcMatrix invariant normally rules that

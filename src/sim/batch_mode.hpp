@@ -1,0 +1,99 @@
+// Pieces shared by the batch-mode schedulers of sim/schedulers.cpp and
+// their cold yardstick (reference/cold_batch.cpp). Not part of the public
+// API: the two must scan, register and re-plan identically for their
+// event traces to match bit for bit.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <limits>
+#include <string_view>
+#include <vector>
+
+#include "core/etc_matrix.hpp"
+#include "sched/batch_engine.hpp"
+#include "sim/scheduler.hpp"
+#include "simd/simd.hpp"
+
+namespace hetero::sim::internal {
+
+// First machine attaining the strict minimum of ready[j] + etc(type, j),
+// and the runner-up completion time — the same kernel scan and tie-break
+// the sched:: heuristics use.
+struct Scan {
+  double best_ct = std::numeric_limits<double>::infinity();
+  double second_ct = std::numeric_limits<double>::infinity();
+  std::size_t best = 0;
+};
+
+inline Scan scan(const core::EtcMatrix& etc,
+                 const std::vector<double>& ready, std::size_t type) {
+  Scan s;
+  simd::kernels().best_second_scan(etc.values().row(type).data(),
+                                   ready.data(), etc.machine_count(),
+                                   &s.best_ct, &s.second_ct, &s.best);
+  return s;
+}
+
+// The batch schedulers re-plan the whole unstarted set on every arrival
+// and completion. The BatchEngine-backed tokens and their cold yardstick
+// keep the set in the same *registration order* — arrival order, except
+// that a task returned to the pool by a migration landing re-registers at
+// the back when the next replan discovers it — so the cold scan and the
+// BatchEngine's registration-order scan break every priority tie
+// identically.
+class PendingRegistry {
+ public:
+  // Appends unstarted tasks not yet registered (ascending id, so fresh
+  // arrivals land at the back in arrival order); returns how many.
+  std::size_t sync(const std::vector<std::size_t>& unstarted) {
+    const std::size_t before = order_.size();
+    for (const std::size_t t : unstarted) {
+      if (t >= tracked_.size()) tracked_.resize(t + 1, 0);
+      if (!tracked_[t]) {
+        tracked_[t] = 1;
+        order_.push_back(t);
+      }
+    }
+    return order_.size() - before;
+  }
+
+  // The task started executing: drops it from the registry, returning
+  // whether it was registered.
+  bool drop(std::size_t task) {
+    if (task >= tracked_.size() || !tracked_[task]) return false;
+    tracked_[task] = 0;
+    order_.erase(std::find(order_.begin(), order_.end(), task));
+    return true;
+  }
+
+  const std::vector<std::size_t>& order() const { return order_; }
+
+ private:
+  std::vector<std::size_t> order_;
+  std::vector<char> tracked_;  // by task id
+};
+
+// What every batch scheduler shares: a re-plan on every arrival and
+// completion over the registered unstarted set.
+class BatchMode : public OnlineScheduler {
+ public:
+  BatchMode(std::string_view name, sched::BatchPolicy policy)
+      : name_(name), policy_(policy) {}
+
+  std::string_view name() const override { return name_; }
+
+  void on_arrival(Engine& engine, std::size_t) override { replan(engine); }
+  void on_completion(Engine& engine, std::size_t, std::size_t) override {
+    replan(engine);
+  }
+
+ protected:
+  virtual void replan(Engine& engine) = 0;
+
+  std::string_view name_;
+  sched::BatchPolicy policy_;
+  PendingRegistry registry_;
+};
+
+}  // namespace hetero::sim::internal

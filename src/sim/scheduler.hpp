@@ -24,17 +24,16 @@
 //                   previous mode in between.
 //
 // The batch modes, on every arrival and completion, recall all queued
-// work and re-plan the unstarted set against base_ready_times():
+// work and re-plan the unstarted set against base_ready_times(), through
+// the incremental sched::BatchEngine epoch interface:
 //
-//   min_min         cold reference, O(U^2 M) greedy: smallest best
-//                   completion time first.
-//   max_min         largest best completion time first.
-//   sufferage       largest (second-best - best) completion time first.
-//   batch_min_min   the same three policies planned through the
-//   batch_max_min   incremental sched::BatchEngine epoch interface.
-//   batch_sufferage Bit-identical traces to their cold twins (the
-//                   `sim_equiv` label asserts it), extending the
-//                   sched_equiv discipline into the simulator.
+//   batch_min_min   smallest best completion time first.
+//   batch_max_min   largest best completion time first.
+//   batch_sufferage largest (second-best - best) completion time first.
+//
+// Their traces are bit-identical to a cold O(U^2 M) re-plan of the same
+// policy (reference/cold_batch.hpp; the `sim_equiv` label asserts it),
+// extending the sched_equiv discipline into the simulator.
 //
 // Scheduler instances are one-shot and engine-bound, like Engine itself:
 // make a fresh one per run.

@@ -9,7 +9,7 @@
 
 #include "base/error.hpp"
 #include "sched/batch_engine.hpp"
-#include "simd/simd.hpp"
+#include "sim/batch_mode.hpp"
 
 namespace hetero::sim {
 
@@ -21,22 +21,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// First machine attaining the strict minimum of ready[j] + etc(type, j),
-// and the runner-up completion time — the same kernel scan and tie-break
-// the sched:: heuristics use.
-struct Scan {
-  double best_ct = kInf, second_ct = kInf;
-  std::size_t best = 0;
-};
-
-Scan scan(const core::EtcMatrix& etc, const std::vector<double>& ready,
-          std::size_t type) {
-  Scan s;
-  simd::kernels().best_second_scan(etc.values().row(type).data(),
-                                   ready.data(), etc.machine_count(),
-                                   &s.best_ct, &s.second_ct, &s.best);
-  return s;
-}
+using internal::BatchMode;
+using internal::scan;
 
 enum class Rule { mct, olb, met, kpb, switching };
 
@@ -112,128 +98,12 @@ class Immediate final : public OnlineScheduler {
   std::vector<std::size_t> candidates_;
 };
 
-// The batch twins re-plan the whole unstarted set on every arrival and
-// completion. Both keep the set in the same *registration order* —
-// arrival order, except that a task returned to the pool by a migration
-// landing re-registers at the back when the next replan discovers it —
-// so the cold reference scan and the BatchEngine's registration-order
-// scan break every priority tie identically.
-class PendingRegistry {
- public:
-  // Appends unstarted tasks not yet registered (ascending id, so fresh
-  // arrivals land at the back in arrival order); returns how many.
-  std::size_t sync(const std::vector<std::size_t>& unstarted) {
-    const std::size_t before = order_.size();
-    for (const std::size_t t : unstarted) {
-      if (t >= tracked_.size()) tracked_.resize(t + 1, 0);
-      if (!tracked_[t]) {
-        tracked_[t] = 1;
-        order_.push_back(t);
-      }
-    }
-    return order_.size() - before;
-  }
-
-  // The task started executing: drops it from the registry, returning
-  // whether it was registered.
-  bool drop(std::size_t task) {
-    if (task >= tracked_.size() || !tracked_[task]) return false;
-    tracked_[task] = 0;
-    order_.erase(std::find(order_.begin(), order_.end(), task));
-    return true;
-  }
-
-  const std::vector<std::size_t>& order() const { return order_; }
-
- private:
-  std::vector<std::size_t> order_;
-  std::vector<char> tracked_;  // by task id
-};
-
-// What the batch twins share: a re-plan on every arrival and completion
-// over the registered unstarted set.
-class BatchMode : public OnlineScheduler {
- public:
-  BatchMode(std::string_view name, sched::BatchPolicy policy)
-      : name_(name), policy_(policy) {}
-
-  std::string_view name() const override { return name_; }
-
-  void on_arrival(Engine& engine, std::size_t) override { replan(engine); }
-  void on_completion(Engine& engine, std::size_t, std::size_t) override {
-    replan(engine);
-  }
-
- protected:
-  virtual void replan(Engine& engine) = 0;
-
-  std::string_view name_;
-  sched::BatchPolicy policy_;
-  PendingRegistry registry_;
-};
-
-// Batch-mode replanning, cold reference: every arrival or completion
-// recalls all queued-but-unstarted work and re-runs the O(U^2 M)
-// batch-mode greedy of sched/heuristics.cpp over the registered pending
-// set against base_ready_times(). The equivalence yardstick for the
-// BatchEngine-backed adapters below.
-class ColdBatch final : public BatchMode {
- public:
-  using BatchMode::BatchMode;
-
-  void on_start(Engine&, std::size_t task, std::size_t) override {
-    registry_.drop(task);
-  }
-
- private:
-  double priority(const Scan& s) const {
-    switch (policy_) {
-      case sched::BatchPolicy::min_min:
-        return -s.best_ct;
-      case sched::BatchPolicy::max_min:
-        return s.best_ct;
-      case sched::BatchPolicy::sufferage:
-        return std::isinf(s.second_ct) ? kInf : s.second_ct - s.best_ct;
-    }
-    return -kInf;
-  }
-
-  void replan(Engine& engine) override {
-    engine.recall_queued();
-    registry_.sync(engine.unstarted());
-    const std::vector<std::size_t>& pending = registry_.order();
-    if (pending.empty()) return;
-    const core::EtcMatrix& etc = engine.etc();
-    std::vector<double> ready = engine.base_ready_times();
-    std::vector<char> mapped(pending.size(), 0);
-
-    for (std::size_t round = 0; round < pending.size(); ++round) {
-      double best_priority = -kInf;
-      std::size_t chosen = 0, chosen_j = 0, chosen_type = 0;
-      for (std::size_t k = 0; k < pending.size(); ++k) {
-        if (mapped[k]) continue;
-        const std::size_t type = engine.task_class_of(pending[k]);
-        const Scan s = scan(etc, ready, type);
-        const double p = priority(s);
-        if (p > best_priority) {
-          best_priority = p;
-          chosen = k;
-          chosen_j = s.best;
-          chosen_type = type;
-        }
-      }
-      engine.assign(pending[chosen], chosen_j);
-      ready[chosen_j] += etc(chosen_type, chosen_j);
-      mapped[chosen] = 1;
-    }
-  }
-};
-
-// The same batch policies planned through the incremental BatchEngine:
+// The batch policies planned through the incremental BatchEngine:
 // arrivals register slots, starts unregister them, and each replan is a
 // warm epoch (begin_epoch diffs the ready vector and rescans only
 // affected slots). Commit order, tie-breaks, and therefore the whole
-// event trace match the cold twin bit for bit.
+// event trace match the cold re-planner (reference/cold_batch.hpp) bit
+// for bit.
 class BatchEngineScheduler final : public BatchMode {
  public:
   using BatchMode::BatchMode;
@@ -281,9 +151,6 @@ constexpr Entry kRegistry[] = {
     {"met", make<Immediate, Rule::met>},
     {"kpb", make<Immediate, Rule::kpb>},
     {"switching", make<Immediate, Rule::switching>},
-    {"min_min", make<ColdBatch, BatchPolicy::min_min>},
-    {"max_min", make<ColdBatch, BatchPolicy::max_min>},
-    {"sufferage", make<ColdBatch, BatchPolicy::sufferage>},
     {"batch_min_min", make<BatchEngineScheduler, BatchPolicy::min_min>},
     {"batch_max_min", make<BatchEngineScheduler, BatchPolicy::max_min>},
     {"batch_sufferage", make<BatchEngineScheduler, BatchPolicy::sufferage>},

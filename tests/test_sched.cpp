@@ -12,6 +12,7 @@
 #include "etcgen/range_based.hpp"
 #include "etcgen/rng.hpp"
 #include "etcgen/suite.hpp"
+#include "reference/heuristics.hpp"
 #include "sched/batch_engine.hpp"
 #include "sched/makespan.hpp"
 

@@ -8,11 +8,13 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "etcgen/range_based.hpp"
 #include "etcgen/suite.hpp"
 #include "parallel/thread_pool.hpp"
+#include "reference/cold_batch.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/scenario.hpp"
 #include "sim/scheduler.hpp"
@@ -26,6 +28,7 @@ using hetero::core::EtcMatrix;
 using hetero::linalg::Matrix;
 using hetero::par::parallel_for;
 using hetero::par::ThreadPool;
+using hetero::sched::BatchPolicy;
 using hetero::sim::Engine;
 using hetero::sim::make_scheduler;
 using hetero::sim::parse_scenario;
@@ -37,12 +40,14 @@ using hetero::sim::SimArrival;
 using hetero::sim::SimOptions;
 using hetero::sim::SimReport;
 using hetero::sim::SlaTier;
+using hetero::sim::reference::make_cold_batch;
+using hetero::sim::reference::make_scheduler_or_cold;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 SimReport run_once(const Scenario& scenario, const std::string& token,
                    SimOptions options = {}) {
-  const auto scheduler = make_scheduler(token);
+  const auto scheduler = make_scheduler_or_cold(token);
   Engine engine(scenario, options);
   return engine.run(*scheduler);
 }
@@ -176,6 +181,28 @@ TEST(SimEngine, EnginesAreOneShotAndTokensValidated) {
   // Controllers need a tick to run at.
   EXPECT_THROW(Engine(s, {.tick_period = 0.0, .power_gating = true}),
                ValueError);
+}
+
+TEST(SimEngine, RegistryShipsOnlyTheProductionTokens) {
+  const std::vector<std::string_view> expected = {
+      "greedy_mct",    "olb",           "met",
+      "kpb",           "switching",     "batch_min_min",
+      "batch_max_min", "batch_sufferage"};
+  EXPECT_EQ(scheduler_tokens(), expected);
+  // The cold re-planners are yardsticks, not selectable tokens; the
+  // unknown-token message lists what is.
+  try {
+    make_scheduler("min_min");
+    ADD_FAILURE() << "min_min is a shipped token";
+  } catch (const ValueError& e) {
+    const std::string message = e.what();
+    for (const std::string_view token : expected) {
+      EXPECT_NE(message.find(token), std::string::npos) << token;
+    }
+  }
+  EXPECT_EQ(make_cold_batch(BatchPolicy::min_min)->name(), "min_min");
+  EXPECT_EQ(make_cold_batch(BatchPolicy::max_min)->name(), "max_min");
+  EXPECT_EQ(make_cold_batch(BatchPolicy::sufferage)->name(), "sufferage");
 }
 
 TEST(SimEngine, RuntimeMultiplierScalesExecution) {
@@ -335,7 +362,7 @@ EtcRun run_etc(const EtcMatrix& etc, std::vector<SimArrival> arrivals,
   const Scenario s = scenario_from_etc(etc);
   Engine engine(s, std::move(arrivals),
                 {.tick_period = 0.0, .record_trace = true});
-  EtcRun out{engine.run(*make_scheduler(token)), {}};
+  EtcRun out{engine.run(*make_scheduler_or_cold(token)), {}};
   out.machine.resize(out.report.tasks);
   for (const hetero::sim::TraceRecord& rec : out.report.trace) {
     if (rec.kind == hetero::sim::TraceKind::completion) {

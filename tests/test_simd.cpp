@@ -20,6 +20,7 @@
 #include "core/standard_form.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/svd.hpp"
+#include "reference/heuristics.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/makespan.hpp"
 #include "simd/simd.hpp"

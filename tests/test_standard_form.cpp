@@ -7,6 +7,7 @@
 
 #include "linalg/svd.hpp"
 #include "parallel/thread_pool.hpp"
+#include "reference/standard_form.hpp"
 
 namespace {
 

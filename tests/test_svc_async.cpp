@@ -26,8 +26,8 @@
 #include "etcgen/rng.hpp"
 #include "io/json.hpp"
 #include "pool_gate.hpp"
+#include "reference/loadgen.hpp"
 #include "svc/event_loop.hpp"
-#include "svc/loadgen.hpp"
 #include "svc/result_cache.hpp"
 #include "svc/server.hpp"
 

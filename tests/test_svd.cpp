@@ -4,11 +4,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <random>
-#include <type_traits>
 
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/matrix.hpp"
+#include "reference/svd.hpp"
 
 namespace {
 
@@ -95,14 +96,16 @@ TEST(Svd, ScalingScalesSingularValues) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(b[i], 3 * a[i], 1e-9);
 }
 
-// gtest names each case by the bytes of its parameter, so the parameter
-// must have no padding (whose bytes are indeterminate) for the ctest names
-// to be the same in every build.
 struct SvdShape {
   std::size_t rows, cols;
   std::uint64_t seed;
 };
-static_assert(std::has_unique_object_representations_v<SvdShape>);
+
+// Names each case by its shape and seed (e.g. .../12x5_seed8); the default
+// printout is the parameter's raw bytes.
+void PrintTo(const SvdShape& s, std::ostream* os) {
+  *os << s.rows << 'x' << s.cols << "_seed" << s.seed;
+}
 
 class SvdRandomized : public ::testing::TestWithParam<SvdShape> {};
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/measures.hpp"
 
 namespace {
@@ -50,15 +52,18 @@ TEST(GenerateWithMeasures, ValidatesInputs) {
   EXPECT_THROW(eg::generate_with_measures({0.5, 0.5, 0.0}, opts), ValueError);
 }
 
-// gtest names each case by the bytes of its parameter, so the parameter
-// must have no padding (whose bytes are indeterminate) for the ctest names
-// to be the same in every build.
 struct TargetCase {
   double mph, tdh, tma;
   std::size_t tasks, machines;
 };
-static_assert(sizeof(TargetCase) ==
-              3 * sizeof(double) + 2 * sizeof(std::size_t));
+
+// Names each case by its targets and shape (e.g.
+// .../mph0.5_tdh0.9_tma0.2_6x4); the default printout is the parameter's
+// raw bytes.
+void PrintTo(const TargetCase& c, std::ostream* os) {
+  *os << "mph" << c.mph << "_tdh" << c.tdh << "_tma" << c.tma << '_'
+      << c.tasks << 'x' << c.machines;
+}
 
 class TargetSweep : public ::testing::TestWithParam<TargetCase> {};
 

@@ -6,7 +6,8 @@ thread counts, and SIMD backends. That contract is easy to break with one
 innocuous line — an unseeded rand(), an unordered-container iteration
 feeding a sum, a wall-clock read inside a kernel. This lint scans the
 deterministic directories (src/core, src/linalg, src/simd, src/sched,
-src/etcgen, src/sim) for the known footguns, plus one tree-wide rule: raw standard
+src/etcgen, src/sim, and reference/, the yardsticks those are tested
+against) for the known footguns, plus one tree-wide rule: raw standard
 mutexes outside src/support (everything else must use support::Mutex so it
 participates in lock-rank checking and thread-safety analysis).
 
@@ -41,7 +42,11 @@ DETERMINISTIC_DIRS = (
     "src/sched",
     "src/etcgen",
     "src/sim",
+    "reference",
 )
+
+# Trees the lint scans.
+SCANNED_ROOTS = ("src", "reference")
 
 SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".cxx"}
 
@@ -105,7 +110,7 @@ RULES = [
         r"shared_mutex|shared_timed_mutex|condition_variable(?:_any)?)\b",
         "raw standard mutexes bypass lock-rank checking and thread-safety "
         "annotations; use support::Mutex / support::CondVar",
-        ("src",),
+        SCANNED_ROOTS,
         exempt_files=(),
     ),
 ]
@@ -224,7 +229,7 @@ def scan_file(path, rel_path, rules):
 
 
 def iter_source_files(root):
-    for rel_dir in ("src",):
+    for rel_dir in SCANNED_ROOTS:
         base = root / rel_dir
         if not base.is_dir():
             continue
@@ -236,11 +241,8 @@ def iter_source_files(root):
 def rules_for(rel_path):
     selected = []
     for rule in RULES:
-        if rule.name == "raw-mutex":
-            if rel_path.startswith(RAW_MUTEX_EXEMPT_PREFIX):
-                continue
-            if rel_path.startswith("src/"):
-                selected.append(rule)
+        if rule.name == "raw-mutex" and rel_path.startswith(
+                RAW_MUTEX_EXEMPT_PREFIX):
             continue
         if rule.applies_to(rel_path):
             selected.append(rule)
