@@ -2,7 +2,8 @@
 // the cold re-planner, which recalls all queued work on every arrival and
 // completion and re-runs the O(U^2 M) batch-mode greedy from scratch. The
 // BatchEngine-backed tokens must reproduce its event traces bit for bit
-// (the `sim_equiv` label). For equivalence tests and before/after
+// (the `sim_equiv` label). It commits every plan in full, so it is also
+// the twin that shows the tokens' partial commits are unobservable. For equivalence tests and before/after
 // benchmarks only; it is not a make_scheduler() token.
 #pragma once
 

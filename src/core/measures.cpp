@@ -12,12 +12,16 @@
 namespace hetero::core {
 namespace {
 
+// The message is built only on failure: the check runs once per element.
 void require_positive(std::span<const double> values, const char* who) {
-  detail::require_value(!values.empty(),
-                        std::string(who) + ": empty value vector");
-  for (double v : values)
-    detail::require_value(v > 0.0,
-                          std::string(who) + ": values must be positive");
+  const char* problem = nullptr;
+  if (values.empty()) {
+    problem = ": empty value vector";
+  } else if (!std::all_of(values.begin(), values.end(),
+                          [](double v) { return v > 0.0; })) {
+    problem = ": values must be positive";
+  }
+  if (problem) throw ValueError(std::string(who).append(problem));
 }
 
 // Mean of non-maximum singular values of the standard-form matrix (eq. 8).

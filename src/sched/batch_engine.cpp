@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "base/error.hpp"
 #include "simd/simd.hpp"
@@ -144,6 +145,7 @@ void BatchEngine::clear_slots() {
   }
   active_.clear();
   have_epoch_ = false;
+  rounds_left_ = 0;
 }
 
 void BatchEngine::begin_epoch(const std::vector<double>& base_ready) {
@@ -188,10 +190,11 @@ void BatchEngine::begin_epoch(const std::vector<double>& base_ready) {
 
   base_ready_ = base_ready;
   have_epoch_ = true;
+  rounds_left_ = 0;  // an unfinished plan belongs to the previous epoch
 }
 
-void BatchEngine::plan(
-    const std::function<void(std::size_t, std::size_t)>& commit) {
+void BatchEngine::start_plan() {
+  rounds_left_ = 0;  // discard the unfinished plan, even if this one throws
   detail::require_value(have_epoch_,
                         "BatchEngine: plan() before begin_epoch()");
   // Build the groups in one pass over the registration order: a type's
@@ -234,55 +237,63 @@ void BatchEngine::plan(
   detail::require_value(cached,
                         "BatchEngine: slot of a new type registered after "
                         "begin_epoch()");
-  const bool singletons = groups == n;
+  singletons_ = groups == n;
   ready_ = base_ready_;
 
-  const bool sufferage = policy_ == BatchPolicy::sufferage;
-  if (!sufferage) {
+  if (policy_ != BatchPolicy::sufferage) {
     bucket_.resize(etc_.machine_count());
     for (auto& b : bucket_) b.clear();
     for (std::size_t g = 0; g < groups; ++g)
       bucket_[group_best_j_[g]].push_back(static_cast<std::uint32_t>(g));
   }
+  rounds_left_ = n;
+}
 
-  for (std::size_t round = 0; round < n; ++round) {
-    // Commit the head of the group the reference scan would pick.
-    const std::size_t chosen = pick_group(singletons);
-    const std::size_t slot = plan_slot_[members_[group_head_[chosen]++]];
-    const std::size_t ctype = group_type_[chosen];
-    const std::size_t jstar = group_best_j_[chosen];
-    if (group_head_[chosen] == group_end_[chosen]) {
-      // Exhausted: NaN/kPlanned sentinels fall through every scan below.
-      group_prio_[chosen] = kNan;
-      group_second_ct_[chosen] = kNan;
-      group_best_j_[chosen] = kPlanned;
-    }
-
-    commit(slot, jstar);
-    const double before = ready_[jstar];
-    ready_[jstar] += etc_(ctype, jstar);
-
-    // Affected-set recomputation: only groups whose cached decision could
-    // involve jstar can have changed (the chosen group among them, unless
-    // exhausted).
-    if (sufferage) {
-      for (std::size_t g = 0; g < groups; ++g)
-        if (involves(group_type_[g], jstar, before, group_best_j_[g],
-                     group_second_ct_[g]))
-          rescan_group(g);
-    } else {
-      // Exactly bucket_[jstar]: rescan each member and rebucket it (its
-      // new best may land anywhere, including jstar again).
-      scratch_bucket_.swap(bucket_[jstar]);
-      bucket_[jstar].clear();
-      for (const std::uint32_t g : scratch_bucket_) {
-        if (group_best_j_[g] == kPlanned) continue;
-        rescan_group(g);
-        bucket_[group_best_j_[g]].push_back(g);
-      }
-      scratch_bucket_.clear();
-    }
+std::optional<BatchEngine::Commit> BatchEngine::pull() {
+  if (rounds_left_ == 0) return std::nullopt;
+  --rounds_left_;
+  // Commit the head of the group the reference scan would pick.
+  const std::size_t chosen = pick_group(singletons_);
+  const std::size_t slot = plan_slot_[members_[group_head_[chosen]++]];
+  const std::size_t ctype = group_type_[chosen];
+  const std::size_t jstar = group_best_j_[chosen];
+  if (group_head_[chosen] == group_end_[chosen]) {
+    // Exhausted: NaN/kPlanned sentinels fall through every scan below.
+    group_prio_[chosen] = kNan;
+    group_second_ct_[chosen] = kNan;
+    group_best_j_[chosen] = kPlanned;
   }
+
+  const double before = ready_[jstar];
+  ready_[jstar] += etc_(ctype, jstar);
+
+  // Affected-set recomputation: only groups whose cached decision could
+  // involve jstar can have changed (the chosen group among them, unless
+  // exhausted).
+  if (policy_ == BatchPolicy::sufferage) {
+    for (std::size_t g = 0; g < group_type_.size(); ++g)
+      if (involves(group_type_[g], jstar, before, group_best_j_[g],
+                   group_second_ct_[g]))
+        rescan_group(g);
+  } else {
+    // Exactly bucket_[jstar]: rescan each member and rebucket it (its
+    // new best may land anywhere, including jstar again).
+    scratch_bucket_.swap(bucket_[jstar]);
+    bucket_[jstar].clear();
+    for (const std::uint32_t g : scratch_bucket_) {
+      if (group_best_j_[g] == kPlanned) continue;
+      rescan_group(g);
+      bucket_[group_best_j_[g]].push_back(g);
+    }
+    scratch_bucket_.clear();
+  }
+  return Commit{slot, jstar};
+}
+
+void BatchEngine::plan(
+    const std::function<void(std::size_t, std::size_t)>& commit) {
+  start_plan();
+  while (const std::optional<Commit> c = pull()) commit(c->slot, c->machine);
 }
 
 Assignment BatchEngine::map_static(const TaskList& tasks) {

@@ -21,9 +21,10 @@
 // unplanned slot, in registration order, attaining the maximum priority.
 // All unplanned slots of one group share that priority, and a group always
 // commits its earliest unplanned slot (its head), so the reference's pick
-// is the head of the tied group whose head registered first. plan() takes
-// the SIMD first-max over group priorities and, when some group holds more
-// than one slot, compares head registration indices across tied groups.
+// is the head of the tied group whose head registered first. Each round
+// takes the SIMD first-max over group priorities and, when some group
+// holds more than one slot, compares head registration indices across
+// tied groups.
 // When every group is a singleton (a one-of-each static map), group order
 // is registration order and the first-max alone is exact.
 //
@@ -42,11 +43,21 @@
 // successive remaps warm-start from the previous epoch instead of running
 // cold. A type whose last active slot is removed drops its cache (nothing
 // revalidates it while it has no slots) and is rescanned when it returns.
+//
+// A plan is resumable: start_plan() builds the groups and pull() commits
+// one round, so a caller that can observe only the first few commits
+// (the simulator dispatches at most one head per free core before it
+// calls the scheduler again) stops pulling there and resumes, or drops
+// the rest, later. The plan is a snapshot of the epoch: slots added or
+// removed while it is open change only the next plan, and a new
+// begin_epoch() discards it. Stopping after any round and resuming
+// therefore yields exactly the commits of an uninterrupted plan().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "sched/makespan.hpp"
@@ -91,10 +102,24 @@ class BatchEngine {
   /// correct) rebuild.
   void begin_epoch(const std::vector<double>& base_ready);
 
-  /// Greedily commits every active slot against the epoch's ready vector,
-  /// invoking commit(slot, machine) in commit order. Slots stay registered
-  /// (the simulator re-plans them until they start). Requires
-  /// begin_epoch() first, with no slot of a new type registered since.
+  /// One round of a plan: `slot` goes to `machine`.
+  struct Commit {
+    std::size_t slot = 0;
+    std::size_t machine = 0;
+  };
+
+  /// Opens a greedy plan of every active slot against the epoch's ready
+  /// vector, discarding any unfinished one. Slots stay registered (the
+  /// simulator re-plans them until they start). Requires begin_epoch()
+  /// first, with no slot of a new type registered since.
+  void start_plan();
+
+  /// Commits the open plan's next round; nullopt once every slot of the
+  /// plan is committed, or when no plan is open.
+  std::optional<Commit> pull();
+
+  /// start_plan(), then commit(slot, machine) for every round, in commit
+  /// order.
   void plan(const std::function<void(std::size_t, std::size_t)>& commit);
 
  private:
@@ -134,15 +159,15 @@ class BatchEngine {
   std::vector<std::uint64_t> type_epoch_;
   std::uint64_t epoch_ = 0;
 
-  // plan() scratch, one entry per group, as parallel compact arrays so the
-  // two hot scans — the priority max-scan (group_prio_ only) and the
+  // The open plan's state, one entry per group, as parallel compact
+  // arrays so the two hot scans — the priority max-scan (group_prio_ only) and the
   // affected-set filter (group_best_j_ and, for sufferage,
   // group_second_ct_) — each stream one flat vector. group_prio_ mirrors
   // priority_of(best, second) so the max-scan never recomputes the policy
   // switch. A group's unplanned slots are members_[group_head_ ..
   // group_end_), stored as registration indices into plan_slot_ (the
   // snapshot of active_ the commits report). type_group_ maps a type to
-  // its group while plan() builds the groups and is kNone otherwise.
+  // its group while start_plan() builds the groups and is kNone otherwise.
   std::vector<std::uint32_t> group_type_, group_best_j_;
   std::vector<double> group_prio_, group_second_ct_;
   std::vector<std::uint32_t> group_head_, group_end_;
@@ -157,9 +182,13 @@ class BatchEngine {
   std::vector<std::uint32_t> scratch_bucket_;
 
   std::vector<double> base_ready_;  // previous epoch's base
-  std::vector<double> ready_;       // working ready vector during plan()
+  std::vector<double> ready_;       // the open plan's working ready vector
   std::vector<std::size_t> changed_;
   bool have_epoch_ = false;
+  // The open plan: rounds left to commit (0 = none open), and whether
+  // every group is a singleton (pick_group's first-max is then exact).
+  std::size_t rounds_left_ = 0;
+  bool singletons_ = false;
 };
 
 }  // namespace hetero::sched

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <deque>
 #include <limits>
 #include <string_view>
 #include <vector>
@@ -36,17 +37,19 @@ inline Scan scan(const core::EtcMatrix& etc,
 }
 
 // The batch schedulers re-plan the whole unstarted set on every arrival
-// and completion. The BatchEngine-backed tokens and their cold yardstick
-// keep the set in the same *registration order* — arrival order, except
-// that a task returned to the pool by a migration landing re-registers at
-// the back when the next replan discovers it — so the cold scan and the
-// BatchEngine's registration-order scan break every priority tie
-// identically.
+// and completion (the BatchEngine-backed tokens commit only the part of
+// the plan the engine can read before it calls them again, and the rest
+// at the next tick; sim/schedulers.cpp). The BatchEngine-backed tokens
+// and their cold yardstick keep the set in the same *registration
+// order* — arrival order, except that a task returned to the pool by a
+// migration landing re-registers at the back when the next replan
+// discovers it — so the cold scan and the BatchEngine's
+// registration-order scan break every priority tie identically.
 class PendingRegistry {
  public:
   // Appends unstarted tasks not yet registered (ascending id, so fresh
   // arrivals land at the back in arrival order); returns how many.
-  std::size_t sync(const std::vector<std::size_t>& unstarted) {
+  std::size_t sync(const std::deque<std::size_t>& unstarted) {
     const std::size_t before = order_.size();
     for (const std::size_t t : unstarted) {
       if (t >= tracked_.size()) tracked_.resize(t + 1, 0);
@@ -75,7 +78,9 @@ class PendingRegistry {
 };
 
 // What every batch scheduler shares: a re-plan on every arrival and
-// completion over the registered unstarted set.
+// completion over the registered unstarted set. Every re-plan begins
+// with a recall, so what a previous plan left queued or uncommitted is
+// dropped, never read.
 class BatchMode : public OnlineScheduler {
  public:
   BatchMode(std::string_view name, sched::BatchPolicy policy)

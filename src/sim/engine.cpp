@@ -234,6 +234,14 @@ void Engine::schedule_completion(std::uint32_t task_id) {
   push_event(t.eta, EventKind::completion, task_id, t.gen);
 }
 
+void Engine::enqueue(std::uint32_t machine, std::uint32_t task_id) {
+  Machine& m = machines_[machine];
+  m.queue.push_back(task_id);
+  if (!m.queued_work_stale) {
+    m.queued_work += etc_(tasks_[task_id].cls, machine);
+  }
+}
+
 void Engine::dispatch_machine(std::uint32_t id) {
   Machine& m = machines_[id];
   if (m.power != PowerState::awake) {
@@ -246,6 +254,9 @@ void Engine::dispatch_machine(std::uint32_t id) {
     const double mem = scenario_.task_classes[t.cls].memory_mb;
     if (mem > m.mem_free) break;  // FIFO head-of-line blocks on memory
     m.queue.pop_front();
+    m.queued_work_stale = true;
+    unstarted_.erase(
+        std::lower_bound(unstarted_.begin(), unstarted_.end(), tid));
     accrue(m);
     ++m.busy;
     m.mem_free -= mem;
@@ -303,6 +314,7 @@ void Engine::on_arrival_event(const Event& ev) {
   t.work_left =
       scenario_.task_classes[t.cls].expected_runtime * kReferenceMips;
   ++arrived_;
+  unstarted_.push_back(ev.id);  // ids arrive in ascending order
   last_progress_ = now_;
   trace(TraceKind::arrival, ev.id, 0);
   scheduler_->on_arrival(*this, ev.id);
@@ -349,7 +361,9 @@ void Engine::on_migration_event(const Event& ev) {
   Machine& m = machines_[t.machine];
   --m.inbound;
   t.state = TaskState::queued;
-  m.queue.push_back(ev.id);
+  enqueue(t.machine, ev.id);
+  unstarted_.insert(
+      std::lower_bound(unstarted_.begin(), unstarted_.end(), ev.id), ev.id);
   last_progress_ = now_;
   trace(TraceKind::migrate_land, ev.id, t.machine);
   dispatch_machine(t.machine);
@@ -469,15 +483,10 @@ bool Engine::can_run(std::size_t task, std::size_t machine) const {
   return std::isfinite(etc_(arrivals_[task].task_class, machine));
 }
 
-std::vector<std::size_t> Engine::unstarted() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < arrived_; ++i) {
-    if (tasks_[i].state == TaskState::pending ||
-        tasks_[i].state == TaskState::queued) {
-      out.push_back(i);
-    }
-  }
-  return out;
+bool Engine::assignable(std::size_t task) const {
+  detail::require_dims(task < tasks_.size(), "task index out of range");
+  const TaskState state = tasks_[task].state;
+  return state == TaskState::pending || state == TaskState::queued;
 }
 
 std::vector<double> Engine::base_ready_times() const {
@@ -514,11 +523,15 @@ std::vector<double> Engine::ready_times() const {
   std::vector<double> ready = base_ready_times();
   for (std::size_t j = 0; j < machines_.size(); ++j) {
     const Machine& m = machines_[j];
-    double queued_work = 0.0;
-    for (const std::uint32_t tid : m.queue) {
-      queued_work += etc_(tasks_[tid].cls, j);
+    if (m.queued_work_stale) {
+      // The same left-to-right order the appends follow: same bits.
+      m.queued_work = 0.0;
+      for (const std::uint32_t tid : m.queue) {
+        m.queued_work += etc_(tasks_[tid].cls, j);
+      }
+      m.queued_work_stale = false;
     }
-    ready[j] += queued_work / static_cast<double>(m.spec->cores);
+    ready[j] += m.queued_work / static_cast<double>(m.spec->cores);
   }
   return ready;
 }
@@ -529,6 +542,8 @@ void Engine::recall_queued() {
       tasks_[tid].state = TaskState::pending;
     }
     m.queue.clear();
+    m.queued_work = 0.0;  // an empty queue sums to exactly 0
+    m.queued_work_stale = false;
   }
 }
 
@@ -545,11 +560,15 @@ void Engine::assign(std::size_t task, std::size_t machine) {
     Machine& old = machines_[t.machine];
     const auto it = std::find(old.queue.begin(), old.queue.end(),
                               static_cast<std::uint32_t>(task));
-    if (it != old.queue.end()) old.queue.erase(it);
+    if (it != old.queue.end()) {
+      old.queue.erase(it);
+      old.queued_work_stale = true;
+    }
   }
   t.state = TaskState::queued;
   t.machine = static_cast<std::uint32_t>(machine);
-  machines_[machine].queue.push_back(static_cast<std::uint32_t>(task));
+  enqueue(static_cast<std::uint32_t>(machine),
+          static_cast<std::uint32_t>(task));
 }
 
 bool Engine::migrate(std::size_t task, std::size_t machine) {
@@ -606,6 +625,19 @@ std::size_t Engine::busy_cores(std::size_t machine) const {
   detail::require_dims(machine < machines_.size(),
                        "machine index out of range");
   return machines_[machine].busy;
+}
+
+std::size_t Engine::idle_cores(std::size_t machine) const {
+  detail::require_dims(machine < machines_.size(),
+                       "machine index out of range");
+  const Machine& m = machines_[machine];
+  return m.spec->cores - m.busy;
+}
+
+std::size_t Engine::inbound(std::size_t machine) const {
+  detail::require_dims(machine < machines_.size(),
+                       "machine index out of range");
+  return machines_[machine].inbound;
 }
 
 std::size_t Engine::queue_length(std::size_t machine) const {

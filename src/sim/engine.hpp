@@ -183,9 +183,17 @@ class Engine {
   bool task_done(std::size_t task) const;
   bool can_run(std::size_t task, std::size_t machine) const;
 
-  /// Arrived tasks that have not started executing (pending or queued),
-  /// ascending id — i.e. arrival order, the batch-mode scan order.
-  std::vector<std::size_t> unstarted() const;
+  /// Is the task pending or queued (arrived, not running, migrating or
+  /// done), so that assign() accepts it?
+  bool assignable(std::size_t task) const;
+
+  /// Every assignable task, ascending id — i.e. arrival order, the
+  /// batch-mode scan order. The engine keeps the list as tasks arrive,
+  /// start and land from a migration, so reading it costs nothing; a
+  /// recall changes no membership.
+  const std::deque<std::size_t>& unstarted() const noexcept {
+    return unstarted_;
+  }
 
   /// Earliest instant machine j could begin a *new* task, ignoring its
   /// queued-but-unstarted work: now, plus any remaining wake latency,
@@ -195,7 +203,9 @@ class Engine {
 
   /// base_ready_times() plus each machine's queued work drained at top
   /// speed across its cores — the completion-time estimate immediate
-  /// (greedy) scheduling plans against.
+  /// (greedy) scheduling plans against. The queued work is a running
+  /// left-to-right sum, so a call costs O(machines) unless a queue lost
+  /// a task since the last call (that machine is re-summed).
   std::vector<double> ready_times() const;
 
   /// Returns every queued-but-unstarted task to the pending set (batch
@@ -234,6 +244,11 @@ class Engine {
   /// Current sleep depth (0 while awake or transitioning).
   std::size_t sleep_depth(std::size_t machine) const;
   std::size_t busy_cores(std::size_t machine) const;
+  /// Cores running no task: what the next dispatch can fill on an awake
+  /// machine (every core while asleep or in transition).
+  std::size_t idle_cores(std::size_t machine) const;
+  /// Migrations in flight to the machine; each lands on its queue.
+  std::size_t inbound(std::size_t machine) const;
   std::size_t queue_length(std::size_t machine) const;
   /// running + queued + migrating-inbound tasks, the balance metric the
   /// migration controller uses.
@@ -274,6 +289,10 @@ class Engine {
     std::size_t busy = 0;
     double mem_free = 0.0;
     std::deque<std::uint32_t> queue;    // assigned, not started
+    // Left-to-right sum of the queue's ETC entries (ready_times()):
+    // appends extend it exactly, removals mark it stale until re-summed.
+    mutable double queued_work = 0.0;
+    mutable bool queued_work_stale = false;
     std::vector<std::uint32_t> running; // ascending task id
     std::size_t inbound = 0;            // migrations targeting this machine
     double last_accrual = 0.0;
@@ -309,6 +328,7 @@ class Engine {
                   std::uint64_t gen);
 
   void start_wake(Machine& m, std::uint32_t id);
+  void enqueue(std::uint32_t machine, std::uint32_t task_id);
   void dispatch_machine(std::uint32_t id);
   void dispatch_all();
   void schedule_completion(std::uint32_t task_id);
@@ -331,6 +351,7 @@ class Engine {
 
   std::vector<Machine> machines_;
   std::vector<Task> tasks_;
+  std::deque<std::size_t> unstarted_;  // ascending; see unstarted()
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
   std::uint64_t next_seq_ = 0;
   double now_ = 0.0;

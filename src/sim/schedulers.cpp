@@ -104,6 +104,19 @@ class Immediate final : public OnlineScheduler {
 // affected slots). Commit order, tie-breaks, and therefore the whole
 // event trace match the cold re-planner (reference/cold_batch.hpp) bit
 // for bit.
+//
+// A replan commits only what the engine reads before the scheduler runs
+// again. Until the next arrival or completion (which replans afresh) or
+// tick (whose controllers and dispatch read every queue), a machine's
+// queue is read only by dispatch: an awake machine starts at most one
+// head per idle core, and a sleeping or transitioning one (all cores
+// idle) tests whether its queue is empty and, once awake, starts at most
+// one head per core. So the replan pulls rounds until each machine has
+// received one commit per idle core, or the plan ends, and leaves the
+// rest suspended; when no core is idle it does not even open the epoch.
+// on_tick() finishes either. Only an inbound migration makes the replan
+// commit everything, as the cold twin does: its landing appends behind
+// the queue, where the unread rest of the plan belongs, and dispatches.
 class BatchEngineScheduler final : public BatchMode {
  public:
   using BatchMode::BatchMode;
@@ -112,9 +125,23 @@ class BatchEngineScheduler final : public BatchMode {
     if (registry_.drop(task)) planner_->remove_slot(task);
   }
 
+  void on_tick(Engine& engine) override {
+    if (unread_ == Unread::epoch) {
+      planner_->begin_epoch(base_);
+      planner_->start_plan();
+    }
+    if (unread_ != Unread::none) {
+      while (const auto c = planner_->pull()) {
+        engine.assign(c->slot, c->machine);
+      }
+    }
+    unread_ = Unread::none;
+  }
+
  private:
   void replan(Engine& engine) override {
     if (!planner_) planner_.emplace(engine.etc(), policy_);
+    unread_ = Unread::none;
     engine.recall_queued();
     // Mirror the registry's new tail into the planner, in order.
     const std::size_t added = registry_.sync(engine.unstarted());
@@ -123,13 +150,43 @@ class BatchEngineScheduler final : public BatchMode {
       planner_->add_slot(order[k], engine.task_class_of(order[k]));
     }
     if (planner_->active_count() == 0) return;
+
+    // quota_[j]: commits to machine j that dispatch can read; owed:
+    // machines still short of their quota. partial: may the plan stop
+    // once every quota is met?
+    bool partial = true;
+    std::size_t owed = 0;
+    quota_.resize(engine.machine_count());
+    for (std::size_t j = 0; j < quota_.size(); ++j) {
+      partial = partial && engine.inbound(j) == 0;
+      quota_[j] = engine.idle_cores(j);
+      if (quota_[j] > 0) ++owed;
+    }
+    if (partial && owed == 0) {
+      base_ = engine.base_ready_times();
+      unread_ = Unread::epoch;
+      return;
+    }
     planner_->begin_epoch(engine.base_ready_times());
-    planner_->plan([&engine](std::size_t slot, std::size_t machine) {
-      engine.assign(slot, machine);
-    });
+    planner_->start_plan();
+    while (const auto c = planner_->pull()) {
+      engine.assign(c->slot, c->machine);
+      if (partial && quota_[c->machine] > 0 && --quota_[c->machine] == 0 &&
+          --owed == 0) {
+        unread_ = Unread::rounds;
+        return;
+      }
+    }
   }
 
+  // What the last replan left for on_tick(): nothing, the rest of an
+  // open plan, or an epoch to open against base_.
+  enum class Unread { none, rounds, epoch };
+
   std::optional<sched::BatchEngine> planner_;
+  Unread unread_ = Unread::none;
+  std::vector<double> base_;
+  std::vector<std::size_t> quota_;
 };
 
 // The token registry: make_scheduler, scheduler_tokens and the

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <ostream>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/performance.hpp"
@@ -116,6 +117,27 @@ TEST(AdjacentRatioHomogeneity, RejectsNonPositive) {
   EXPECT_THROW(adjacent_ratio_homogeneity(std::vector<double>{1, 0}),
                ValueError);
   EXPECT_THROW(adjacent_ratio_homogeneity(std::vector<double>{}), ValueError);
+}
+
+TEST(AdjacentRatioHomogeneity, RejectionMessagesNameTheCaller) {
+  const auto message = [](auto&& call) {
+    try {
+      call();
+    } catch (const ValueError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message([] { min_max_ratio(std::vector<double>{2, -1, 3}); }),
+            "min_max_ratio: values must be positive");
+  EXPECT_EQ(message([] {
+              min_max_ratio(std::vector<double>{2, std::nan("")});
+            }),
+            "min_max_ratio: values must be positive");
+  EXPECT_EQ(message([] {
+              adjacent_ratio_homogeneity(std::vector<double>{});
+            }),
+            "adjacent_ratio_homogeneity: empty value vector");
 }
 
 // ---------------------------------------------------------------------------

@@ -437,6 +437,101 @@ TEST(BatchEngineEpochs, MatchColdReplanUnderRandomEpochs) {
   }
 }
 
+// The resumable plan: start_plan() then pull() one round at a time. For
+// every k, stopping after k rounds and resuming must commit exactly what
+// an uninterrupted plan() commits, also when slots are removed or added
+// while the plan is suspended (the plan is a snapshot of its epoch; the
+// change shows in the next one), and a begin_epoch() over a suspended
+// plan must discard it and plan as the eager engine does.
+TEST(BatchEngineResume, StopAnywhereMatchesUninterruptedPlan) {
+  namespace eg = hetero::etcgen;
+  const EtcMatrix typed = tie_etc(3, 5, 21);      // tied, multi-slot groups
+  const EtcMatrix distinct = tie_etc(14, 5, 22);  // singleton groups
+  std::size_t resumed = 0, edited = 0, discarded = 0;
+  for (const sc::BatchPolicy policy :
+       {sc::BatchPolicy::min_min, sc::BatchPolicy::max_min,
+        sc::BatchPolicy::sufferage}) {
+    for (const EtcMatrix* etc : {&typed, &distinct}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        eg::Rng rng = eg::make_rng(seed * 31 + etc->task_count());
+        const std::size_t machines = etc->machine_count();
+        std::vector<std::pair<std::size_t, std::size_t>> slots;
+        for (std::size_t s = 0; s < 14; ++s) {
+          const std::size_t t = etc == &distinct
+                                    ? s
+                                    : eg::uniform_index(rng, etc->task_count());
+          slots.emplace_back(3 * s + 1, t);  // sparse slot ids
+        }
+        std::vector<double> ready(machines), later(machines);
+        for (std::size_t j = 0; j < machines; ++j) {
+          ready[j] = static_cast<double>(eg::uniform_index(rng, 4));
+          later[j] = ready[j] + static_cast<double>(eg::uniform_index(rng, 3));
+        }
+        const Commits full = cold_replan(*etc, policy, slots, ready);
+
+        for (std::size_t k = 0; k <= slots.size(); ++k) {
+          for (int action = 0; action < 3; ++action) {
+            sc::BatchEngine engine(*etc, policy);
+            for (const auto& [slot, type] : slots) engine.add_slot(slot, type);
+            engine.begin_epoch(ready);
+            engine.start_plan();
+            Commits got;
+            for (std::size_t r = 0; r < k; ++r) {
+              const auto c = engine.pull();
+              ASSERT_TRUE(c.has_value());
+              got.emplace_back(c->slot, c->machine);
+            }
+            auto registered = slots;
+            if (action == 1) {
+              // Remove a committed and an uncommitted slot, add a new one.
+              const auto drop = [&](std::size_t slot) {
+                engine.remove_slot(slot);
+                registered.erase(std::find_if(
+                    registered.begin(), registered.end(),
+                    [slot](const auto& r) { return r.first == slot; }));
+              };
+              if (k > 0) drop(got[k / 2].first);
+              if (k < full.size()) drop(full.back().first);
+              const std::size_t t = slots.front().second;
+              engine.add_slot(1000, t);
+              registered.emplace_back(1000, t);
+              ++edited;
+            }
+            if (action == 2) {
+              // A new epoch over the suspended plan discards it.
+              engine.begin_epoch(later);
+              EXPECT_FALSE(engine.pull().has_value());
+              Commits fresh;
+              engine.plan([&fresh](std::size_t s, std::size_t j) {
+                fresh.emplace_back(s, j);
+              });
+              EXPECT_EQ(fresh, cold_replan(*etc, policy, slots, later))
+                  << "discard at k " << k;
+              ++discarded;
+              continue;
+            }
+            while (const auto c = engine.pull())
+              got.emplace_back(c->slot, c->machine);
+            EXPECT_EQ(got, full) << "k " << k << " action " << action;
+            ++resumed;
+            // The next epoch plans what is registered now.
+            engine.begin_epoch(later);
+            Commits next;
+            engine.plan([&next](std::size_t s, std::size_t j) {
+              next.emplace_back(s, j);
+            });
+            EXPECT_EQ(next, cold_replan(*etc, policy, registered, later))
+                << "next epoch after k " << k << " action " << action;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(resumed, 0u);
+  EXPECT_GT(edited, 0u);
+  EXPECT_GT(discarded, 0u);
+}
+
 TEST(BatchEngineRegistry, RejectsDuplicateAndUnknownSlots) {
   const EtcMatrix etc = simple();
   sc::BatchEngine engine(etc, sc::BatchPolicy::min_min);

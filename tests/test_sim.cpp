@@ -6,7 +6,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -218,6 +220,72 @@ TEST(SimEngine, RuntimeMultiplierScalesExecution) {
   EXPECT_DOUBLE_EQ(hetero::sim::implied_etc(s)(0, 0), 200000.0);
   const SimReport doubled = run_once(s, "greedy_mct");
   EXPECT_DOUBLE_EQ(doubled.end_time, 200000.0);
+}
+
+// ready_times() keeps each queue's work as a running sum: every edit a
+// scheduler can make to a queue (append, dispatch pop, mid-queue
+// reassignment, recall) must leave the bits of a fresh left-to-right sum.
+TEST(SimEngine, ReadyTimesTrackQueueEdits) {
+  class Scripted final : public hetero::sim::OnlineScheduler {
+   public:
+    std::string_view name() const override { return "scripted"; }
+    void on_arrival(Engine& engine, std::size_t task) override {
+      if (task == 4) {
+        engine.assign(2, 1);  // out of the middle of machine 0's queue
+        mirror_.erase(std::find(mirror_.begin(), mirror_.end(), 2u));
+        check(engine);
+      }
+      if (task == 5) {
+        engine.recall_queued();
+        mirror_.clear();
+        check(engine);
+        for (const std::size_t t : {5u, 4u, 3u, 1u}) put(engine, t);
+        return;
+      }
+      put(engine, task);
+    }
+    void on_start(Engine& engine, std::size_t task,
+                  std::size_t machine) override {
+      if (machine == 0) {
+        ASSERT_EQ(mirror_.front(), task);
+        mirror_.erase(mirror_.begin());
+      }
+      check(engine);
+    }
+    void on_completion(Engine& engine, std::size_t,
+                       std::size_t) override {
+      check(engine);
+    }
+    std::size_t checks = 0;
+
+   private:
+    void put(Engine& engine, std::size_t task) {
+      engine.assign(task, 0);
+      mirror_.push_back(task);
+      check(engine);
+    }
+    void check(const Engine& engine) {
+      double queued = 0.0;
+      for (const std::size_t t : mirror_)
+        queued += engine.etc()(engine.task_class_of(t), 0);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(engine.ready_times()[0]),
+                std::bit_cast<std::uint64_t>(engine.base_ready_times()[0] +
+                                             queued))
+          << "check " << checks;
+      ++checks;
+    }
+    std::vector<std::size_t> mirror_;  // machine 0's queue
+  };
+
+  // Entries whose left-to-right sums round differently by order.
+  const EtcMatrix etc(Matrix{{0.1, 1.0}, {0.2, 1.0}, {0.7, 1.0}});
+  const Scenario s = scenario_from_etc(etc);
+  std::vector<SimArrival> arrivals;
+  for (std::size_t k = 0; k < 6; ++k) arrivals.push_back({0.0, k % 3});
+  Scripted scheduler;
+  Engine engine(s, arrivals, {.tick_period = 0.0});
+  ASSERT_EQ(engine.run(scheduler).completed, arrivals.size());
+  EXPECT_GT(scheduler.checks, 12u);
 }
 
 // ---------------------------------------------------------------------------
@@ -788,6 +856,215 @@ TEST(DynamicBatchEquivalence, IncapableMachinesMatchColdReference) {
     arrivals.push_back(
         {static_cast<double>(k) * 0.3, k % etc.task_count()});
   expect_warm_matches_cold(etc, arrivals);
+}
+
+// ---------------------------------------------------------------------------
+// The batch_* tokens commit only the part of each plan the engine can read
+// before the scheduler runs again, and finish the rest at the next tick.
+// That laziness must be unobservable: a seeded sweep of generated
+// environments, built to reach every state the observation rule reasons
+// about, must replay the eager cold re-planner bit for bit.
+
+// Forwards every callback to `inner`. At each it checks unstarted()
+// against a scan of assignable() and counts the engine states the lazy
+// replan must handle.
+class Probe final : public hetero::sim::OnlineScheduler {
+ public:
+  struct Seen {
+    std::size_t callbacks = 0;
+    std::size_t list_mismatches = 0;
+    std::size_t blocked_heads = 0;   // idle core behind a memory-blocked head
+    std::size_t no_idle_core = 0;    // a replan with every core busy
+    std::size_t unread_after = 0;    // tasks left unqueued after a replan
+    std::size_t same_instant = 0;    // a machine freed cores twice at once
+  };
+
+  Probe(std::unique_ptr<OnlineScheduler> inner, Seen& seen)
+      : inner_(std::move(inner)), seen_(seen) {}
+
+  std::string_view name() const override { return inner_->name(); }
+  void on_arrival(Engine& engine, std::size_t task) override {
+    before_replan(engine);
+    inner_->on_arrival(engine, task);
+    after_replan(engine);
+  }
+  void on_start(Engine& engine, std::size_t task,
+                std::size_t machine) override {
+    check(engine);
+    inner_->on_start(engine, task, machine);
+  }
+  void on_completion(Engine& engine, std::size_t task,
+                     std::size_t machine) override {
+    if (machine >= last_completion_.size())
+      last_completion_.resize(machine + 1, -1.0);
+    if (last_completion_[machine] == engine.now()) ++seen_.same_instant;
+    last_completion_[machine] = engine.now();
+    before_replan(engine);
+    inner_->on_completion(engine, task, machine);
+    after_replan(engine);
+  }
+  void on_tick(Engine& engine) override {
+    check(engine);
+    inner_->on_tick(engine);
+    check(engine);
+  }
+
+ private:
+  void check(const Engine& engine) {
+    ++seen_.callbacks;
+    std::deque<std::size_t> scan;
+    for (std::size_t t = 0; t < engine.arrived_count(); ++t)
+      if (engine.assignable(t)) scan.push_back(t);
+    if (scan != engine.unstarted()) ++seen_.list_mismatches;
+  }
+
+  void before_replan(const Engine& engine) {
+    check(engine);
+    bool idle = false;
+    for (std::size_t j = 0; j < engine.machine_count(); ++j) {
+      idle = idle || engine.idle_cores(j) > 0;
+      if (engine.awake(j) && engine.idle_cores(j) > 0 &&
+          engine.queue_length(j) > 0)
+        ++seen_.blocked_heads;
+    }
+    if (!idle) ++seen_.no_idle_core;
+  }
+
+  void after_replan(const Engine& engine) {
+    check(engine);
+    std::size_t queued = 0;
+    for (std::size_t j = 0; j < engine.machine_count(); ++j)
+      queued += engine.queue_length(j);
+    if (queued < engine.unstarted().size()) ++seen_.unread_after;
+  }
+
+  std::unique_ptr<OnlineScheduler> inner_;
+  Seen& seen_;
+  std::vector<double> last_completion_;
+};
+
+// Small-integer runtimes (completion-time ties, simultaneous completions)
+// with scattered cannot-run entries; column 0 runs everything.
+EtcMatrix integer_etc(std::size_t rows, std::size_t cols,
+                      hetero::etcgen::Rng& rng) {
+  namespace eg = hetero::etcgen;
+  Matrix m(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      m(i, j) = static_cast<double>(1 + eg::uniform_index(rng, 6));
+      if (j > 0 && eg::uniform_index(rng, 6) == 0) m(i, j) = kInf;
+    }
+  }
+  return EtcMatrix(m);
+}
+
+// scenario_from_etc(etc) with what the lazy replan reasons about: 1-3
+// cores per machine, memory that fits only some task mixes (a queue head
+// can block on memory with a core idle), and power and speed ladders for
+// the power-gating, DVFS and migration controllers. The ETC stays exact.
+Scenario stress_scenario(const EtcMatrix& etc, hetero::etcgen::Rng& rng) {
+  namespace eg = hetero::etcgen;
+  Scenario s = scenario_from_etc(etc);
+  for (hetero::sim::MachineClass& m : s.machine_classes) {
+    m.cores = 1 + eg::uniform_index(rng, 3);
+    m.memory_mb = 4.0;
+    m.s_states = {1.0, 0.5, 0.1};
+    m.p_states = {1.0, 0.6};
+    m.c_states = {1.0, 0.2};
+    m.mips = {hetero::sim::kReferenceMips, hetero::sim::kReferenceMips / 2};
+  }
+  for (hetero::sim::TaskClass& t : s.task_classes)
+    t.memory_mb = static_cast<double>(1 + eg::uniform_index(rng, 3));
+  return s;
+}
+
+// Bursts of simultaneous arrivals at integer instants.
+std::vector<SimArrival> burst_arrivals(std::size_t count, std::size_t types,
+                                       hetero::etcgen::Rng& rng) {
+  namespace eg = hetero::etcgen;
+  std::vector<SimArrival> arrivals;
+  double t = 0.0;
+  for (std::size_t k = 0; k < count; ++k) {
+    t += static_cast<double>(eg::uniform_index(rng, 3)) *
+         static_cast<double>(eg::uniform_index(rng, 2));
+    arrivals.push_back({t, eg::uniform_index(rng, types)});
+  }
+  return arrivals;
+}
+
+TEST(DynamicBatchEquivalence, LazyReplanMatchesColdAcrossGeneratedScenarios) {
+  // Ticks off (the unread rest of a plan is never read), ticks without
+  // controllers, and ticks with every controller (sleeping machines wake
+  // on a suspended plan; inbound migrations force the full plan).
+  const SimOptions modes[] = {
+      {.tick_period = 0.0},
+      {.tick_period = 4.0},
+      {.tick_period = 3.0, .power_gating = true, .idle_sleep_after = 6.0,
+       .sleep_latency = 2.0, .wake_latency = 3.0, .dvfs = true,
+       .migration = true, .migration_gap = 2, .migration_latency = 2.0},
+  };
+  Probe::Seen seen;
+  std::size_t migrations = 0, sleeps = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    hetero::etcgen::Rng rng = hetero::etcgen::make_rng(500 + seed);
+    const EtcMatrix etc = integer_etc(5, 4, rng);
+    const Scenario s = stress_scenario(etc, rng);
+    const std::vector<SimArrival> arrivals =
+        burst_arrivals(90, etc.task_count(), rng);
+    for (const SimOptions& options : modes) {
+      for (const auto& [policy, token] :
+           {std::pair{BatchPolicy::min_min, "batch_min_min"},
+            std::pair{BatchPolicy::max_min, "batch_max_min"},
+            std::pair{BatchPolicy::sufferage, "batch_sufferage"}}) {
+        const std::string tag = std::string(token) + " seed " +
+                                std::to_string(seed) + " tick " +
+                                std::to_string(options.tick_period);
+        Engine cold_engine(s, arrivals, options);
+        const SimReport cold = cold_engine.run(*make_cold_batch(policy));
+        Probe lazy_probe(make_scheduler(token), seen);
+        Engine lazy_engine(s, arrivals, options);
+        const SimReport lazy = lazy_engine.run(lazy_probe);
+        ASSERT_EQ(cold.completed, arrivals.size()) << tag;
+        expect_same_run(cold, lazy, tag);
+        migrations += lazy.migrations;
+        sleeps += lazy.sleep_transitions;
+      }
+    }
+  }
+  // The sweep must reach the states it exists for.
+  EXPECT_EQ(seen.list_mismatches, 0u);
+  EXPECT_GT(seen.blocked_heads, 0u);
+  EXPECT_GT(seen.no_idle_core, 0u);
+  EXPECT_GT(seen.unread_after, 0u);
+  EXPECT_GT(seen.same_instant, 0u);
+  EXPECT_GT(migrations, 0u);
+  EXPECT_GT(sleeps, 0u);
+}
+
+TEST(SimEquiv, UnstartedListMatchesStateScanAtEveryCallback) {
+  // The maintained list against a scan, at every callback of every token
+  // on the shipped scenarios, controllers on (migration landings
+  // re-enter the list) and off.
+  const SimOptions plain;
+  const SimOptions dynamic{.power_gating = true, .dvfs = true,
+                           .migration = true, .migration_gap = 2};
+  std::size_t migrations = 0;
+  for (const std::string& path : scenario_files()) {
+    const Scenario s = hetero::sim::load_scenario(path);
+    for (const std::string_view token : scheduler_tokens()) {
+      for (const SimOptions& options : {plain, dynamic}) {
+        Probe::Seen seen;
+        Probe probe(make_scheduler(token), seen);
+        Engine engine(s, options);
+        const SimReport r = engine.run(probe);
+        ASSERT_EQ(r.completed, r.tasks) << path << " / " << token;
+        EXPECT_GT(seen.callbacks, 3 * r.tasks) << path << " / " << token;
+        EXPECT_EQ(seen.list_mismatches, 0u) << path << " / " << token;
+        migrations += r.migrations;
+      }
+    }
+  }
+  EXPECT_GT(migrations, 0u);
 }
 
 }  // namespace
