@@ -3,8 +3,10 @@
 // Each google-benchmark thread is one synchronous client: it submits a
 // request through Server::submit and blocks on the response before issuing
 // the next — the closed loop the acceptance numbers in docs/performance.md
-// quote. ->Threads(1/4/16) sweeps client concurrency against a shared
-// server; requests/s is the reported items_per_second.
+// quote. The client claims no cache shard, so a warm hit too makes the
+// pool round trip rather than being answered on the client's thread.
+// ->Threads(1/4/16) sweeps client concurrency against a shared server;
+// requests/s is the reported items_per_second.
 //
 // Suites:
 //   BM_ServiceCharacterizeWarm  — one 128x16 matrix, cache hit after the
@@ -84,6 +86,7 @@ namespace {
 
 using hetero::svc::Server;
 using hetero::svc::ServerOptions;
+using hetero::svc::ShardMap;
 
 std::string request_line(const hetero::core::EtcMatrix& etc,
                          const char* kind, const char* extra) {
@@ -106,22 +109,45 @@ hetero::core::EtcMatrix make_matrix(std::size_t tasks, std::size_t machines,
   return hetero::etcgen::generate_range_based(options, rng);
 }
 
-/// Blocks the calling benchmark thread until the response arrives — the
-/// closed loop.
-std::string call(Server& server, const std::string& line) {
+// Shared across the benchmark's threads; constructed by thread 0. The map
+// gives every cache shard to worker 0 and call() submits as worker 1, so
+// no warm hit is answered inline.
+std::unique_ptr<Server> g_server;
+std::unique_ptr<ShardMap> g_no_shards;
+
+void setup_server(const benchmark::State& state, ServerOptions options) {
+  if (state.thread_index() != 0) return;
+  g_server = std::make_unique<Server>(options);
+  g_no_shards = std::make_unique<ShardMap>(g_server->cache().shard_count(), 1);
+}
+
+void teardown_server(const benchmark::State& state) {
+  if (state.thread_index() == 0) g_server.reset();
+}
+
+/// Blocks the calling benchmark thread until g_server's response arrives —
+/// the closed loop.
+std::string call(const std::string& line) {
   std::mutex m;
   std::condition_variable cv;
   std::string response;
   bool done = false;
-  server.submit(line, [&](std::string r) {
-    // Notify under the lock: the caller destroys cv as soon as done flips.
-    const std::scoped_lock lock(m);
-    response = std::move(r);
-    done = true;
-    cv.notify_one();
-  });
-  std::unique_lock lock(m);
-  cv.wait(lock, [&] { return done; });
+  if (auto inline_response = g_server->submit(
+          line,
+          [&](std::string r) {
+            // Notify under the lock: the caller destroys cv as soon as
+            // done flips.
+            const std::scoped_lock lock(m);
+            response = std::move(r);
+            done = true;
+            cv.notify_one();
+          },
+          g_no_shards.get(), /*worker_index=*/1)) {
+    response = *std::move(inline_response);
+  } else {
+    std::unique_lock lock(m);
+    cv.wait(lock, [&] { return done; });
+  }
   // A dropped or malformed response must fail the benchmark run, not
   // silently skew its numbers.
   if (response.find("\"ok\":") == std::string::npos) {
@@ -132,17 +158,6 @@ std::string call(Server& server, const std::string& line) {
   return response;
 }
 
-// Shared across the benchmark's threads; constructed by thread 0.
-std::unique_ptr<Server> g_server;
-
-void setup_server(const benchmark::State& state, ServerOptions options) {
-  if (state.thread_index() == 0) g_server = std::make_unique<Server>(options);
-}
-
-void teardown_server(const benchmark::State& state) {
-  if (state.thread_index() == 0) g_server.reset();
-}
-
 void BM_ServiceCharacterizeWarm(benchmark::State& state) {
   setup_server(state, {});
   static std::string line;
@@ -150,7 +165,7 @@ void BM_ServiceCharacterizeWarm(benchmark::State& state) {
     line = request_line(make_matrix(128, 16, 7), "characterize", "");
   std::size_t processed = 0;
   for (auto _ : state) {
-    const std::string response = call(*g_server, line);
+    const std::string response = call(line);
     benchmark::DoNotOptimize(response.data());
     ++processed;
   }
@@ -184,7 +199,7 @@ void BM_ServiceCharacterizeCold(benchmark::State& state) {
   std::size_t i = static_cast<std::size_t>(state.thread_index()) * 17;
   std::size_t processed = 0;
   for (auto _ : state) {
-    const std::string response = call(*g_server, lines[i % kDistinct]);
+    const std::string response = call(lines[i % kDistinct]);
     benchmark::DoNotOptimize(response.data());
     i += 1;
     ++processed;
@@ -206,7 +221,7 @@ void BM_ServiceScheduleWarm(benchmark::State& state) {
                         ",\"heuristic\":\"min_min\"");
   std::size_t processed = 0;
   for (auto _ : state) {
-    const std::string response = call(*g_server, line);
+    const std::string response = call(line);
     benchmark::DoNotOptimize(response.data());
     ++processed;
   }
@@ -239,7 +254,7 @@ void BM_ServiceHitRateSweep(benchmark::State& state) {
   std::size_t i = static_cast<std::size_t>(state.thread_index());
   std::size_t processed = 0;
   for (auto _ : state) {
-    const std::string response = call(*g_server, lines[i % distinct]);
+    const std::string response = call(lines[i % distinct]);
     benchmark::DoNotOptimize(response.data());
     i += 1;
     ++processed;

@@ -41,6 +41,15 @@ double tma_from_ratio_singular_values(std::span<const double> sigma) {
   return s / (sigma.front() * static_cast<double>(sigma.size() - 1));
 }
 
+// Eq. 5's input: the weighted values with every column scaled to sum one
+// (the procedure of [2]).
+linalg::Matrix column_normalized(const EcsMatrix& ecs, const Weights& w) {
+  linalg::Matrix cn = ecs.weighted_values(w);
+  for (std::size_t j = 0; j < cn.cols(); ++j)
+    cn.scale_col(j, 1.0 / cn.col_sum(j));
+  return cn;
+}
+
 bool wants_blocked_path(const EcsMatrix& ecs, const TmaOptions& options) {
   return options.large.min_elements > 0 &&
          ecs.task_count() * ecs.machine_count() >= options.large.min_elements;
@@ -72,10 +81,8 @@ TmaResult tma_detailed_blocked(const EcsMatrix& ecs, const Weights& w,
   detail::require_value(options.allow_column_normalized_fallback,
                         "tma: no standard form exists for this matrix "
                         "(Section VI) and the eq. 5 fallback is disabled");
-  linalg::Matrix cn = ecs.weighted_values(w);
-  for (std::size_t j = 0; j < cn.cols(); ++j)
-    cn.scale_col(j, 1.0 / cn.col_sum(j));
-  result.singular_values = linalg::blocked_singular_values(cn, spectrum);
+  result.singular_values =
+      linalg::blocked_singular_values(column_normalized(ecs, w), spectrum);
   result.value = tma_from_ratio_singular_values(result.singular_values);
   result.used_standard_form = false;
   return result;
@@ -159,10 +166,7 @@ TmaResult tma_detailed(const EcsMatrix& ecs, const Weights& w,
                         "tma: no standard form exists for this matrix "
                         "(Section VI) and the eq. 5 fallback is disabled");
   // Eq. 5 fallback: column-normalize only (the procedure of [2]).
-  linalg::Matrix cn = ecs.weighted_values(w);
-  for (std::size_t j = 0; j < cn.cols(); ++j)
-    cn.scale_col(j, 1.0 / cn.col_sum(j));
-  result.singular_values = linalg::singular_values(cn);
+  result.singular_values = linalg::singular_values(column_normalized(ecs, w));
   result.value = tma_from_ratio_singular_values(result.singular_values);
   result.used_standard_form = false;
   return result;
@@ -173,10 +177,8 @@ double tma(const EcsMatrix& ecs, const Weights& w) {
 }
 
 double tma_column_normalized(const EcsMatrix& ecs, const Weights& w) {
-  linalg::Matrix cn = ecs.weighted_values(w);
+  const linalg::Matrix cn = column_normalized(ecs, w);
   if (std::min(cn.rows(), cn.cols()) == 1) return 0.0;
-  for (std::size_t j = 0; j < cn.cols(); ++j)
-    cn.scale_col(j, 1.0 / cn.col_sum(j));
   return tma_from_ratio_singular_values(linalg::singular_values(cn));
 }
 

@@ -2,8 +2,8 @@
 //
 // Ranks encode the only acquisition order the codebase permits: a thread
 // holding a mutex may acquire another only if the new rank is strictly
-// greater. Ranks follow the request pipeline — admission, then cache,
-// then compute — with the response-delivery mutexes above everything, so
+// greater. Ranks follow the request pipeline — session, then cache, then
+// compute — with the response-delivery mutexes above everything, so
 // a worker that still held a pipeline lock while delivering (it never
 // does today) would stay legal, while delivery code calling back *down*
 // into the pipeline (the actual deadlock shape for this architecture)
@@ -19,14 +19,13 @@
 namespace hetero::support {
 
 // -- Pipeline layer: locks taken on the request path, in pipeline order.
-
-/// svc::RequestQueue::mutex_ — admission; first lock a request meets.
-inline constexpr int kRankRequestQueue = 100;
+//    Admission takes no lock: svc::Server counts waiting jobs in an
+//    atomic, and the pool's own queue (kRankPoolQueue) holds them.
 
 /// svc::StreamSession::mutex_ — per-connection streaming view state
 /// (update/subscribe). Session compute runs entirely under it and takes
-/// no further locks; ranked between admission and the cache so a future
-/// session path that consulted the cache would stay legal.
+/// no further locks; ranked below the cache so a future session path
+/// that consulted the cache would stay legal.
 inline constexpr int kRankStreamSession = 150;
 
 /// svc::ResultCache::Shard::mutex — one per shard; the cache never holds
@@ -73,6 +72,6 @@ inline constexpr int kRankWorkerChannel = 430;
 //    (scenario, options, scheduler) and owns all of its state, so it
 //    takes no locks. Concurrent simulations each get their own Engine;
 //    if a shared-state sim variant ever appears, slot its ranks into the
-//    200s (it would sit between admission and the compute pool).
+//    200s (it would sit between the cache and the compute pool).
 
 }  // namespace hetero::support

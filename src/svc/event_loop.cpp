@@ -567,8 +567,8 @@ void EventLoopServer::loop(Worker& w) {
 
       // A pool job writes its response itself, then leaves a notice.
       const std::uint64_t op = conn.next_op++;
-      Server::FastPathInfo info;
-      auto response = server_.submit_fast(
+      Server::SubmitInfo info;
+      auto response = server_.submit(
           frame->line,
           [writer = conn.writer, channel = w.channel, id,
            op](std::string r) {
@@ -576,7 +576,7 @@ void EventLoopServer::loop(Worker& w) {
           },
           &shard_map_, w.index, &info, conn.session);
       if (response) {
-        if (info.inline_hit && !info.had_deadline)
+        if (info.memoizable)
           w.memo.put(line_hash, std::move(frame->line), *response, info.kind);
         if (!deliver(id, conn, *response)) return false;
       } else {

@@ -16,15 +16,15 @@
 // per-connection order is unchanged and a peer streaming behind a slow
 // op is held back by its socket's receive window.
 //
-// The Server behind the loop is unchanged: the same admission queue,
-// deadline handling, sharded LRU cache, and compute ThreadPool as
-// Server::submit and serve_stream, so responses are bit-identical to
-// theirs (asserted by the svc_equiv tests). What the loop adds:
+// Every frame enters through Server::submit, the same entry point
+// serve_stream uses, so responses are bit-identical to serve_stream's
+// (asserted by the svc_equiv tests). What the loop adds:
 //
 //  - scale: one thread per worker regardless of connection count;
-//  - warm-hit fast path: cacheable requests whose cache shard is owned by
-//    the accepting worker (consistent-hash ShardMap) are answered inline
-//    on the loop thread on a hit, skipping the queue/pool round trip;
+//  - shard ownership: submit answers a warm hit on the loop thread only
+//    when its cache shard is owned by the accepting worker
+//    (consistent-hash ShardMap), so each shard's mutex stays on one
+//    thread; other hits take the pool round trip;
 //  - raw-line memo: a small per-worker LRU keyed by the exact request
 //    bytes short-circuits the JSON parse for verbatim-repeated requests
 //    (the steady-state fleet re-characterization pattern). Entries are

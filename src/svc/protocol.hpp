@@ -26,7 +26,7 @@
 // subscribe installs (or replaces) the connection's measure view over a
 // fully-finite ETC matrix; update streams deltas against it and the
 // response carries the re-evaluated measures plus view statistics. Both
-// kinds are stateful, so they bypass the admission queue, the result cache
+// kinds are stateful, so they bypass admission control, the result cache
 // and the raw-line memo, and each connection's are computed one at a time
 // in arrival order.
 //

@@ -36,18 +36,19 @@ ResultCache::ResultCache(std::size_t shards, std::size_t capacity_per_shard)
 }
 
 std::optional<std::string> ResultCache::get(std::uint64_t key) {
+  auto hit = probe(key);
+  if (!hit) misses_.fetch_add(1, std::memory_order_relaxed);
+  return hit;
+}
+
+std::optional<std::string> ResultCache::probe(std::uint64_t key) {
   Shard& s = shard_for(key);
-  {
-    const support::MutexLock lock(s.mutex);
-    const auto it = s.index.find(key);
-    if (it != s.index.end()) {
-      s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second->second;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  const support::MutexLock lock(s.mutex);
+  const auto it = s.index.find(key);
+  if (it == s.index.end()) return std::nullopt;
+  s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  return it->second->second;
 }
 
 void ResultCache::put(std::uint64_t key, std::string value) {

@@ -73,6 +73,10 @@ class ResultCache {
 
   /// Returns the cached payload and refreshes its recency, or nullopt.
   std::optional<std::string> get(std::uint64_t key);
+  /// Like get, but a miss is not counted: for an early lookup that a
+  /// counted get repeats when it misses, so that stats() counts each
+  /// request once.
+  std::optional<std::string> probe(std::uint64_t key);
 
   /// Inserts (or refreshes) a payload, evicting the shard's LRU entry when
   /// over capacity.

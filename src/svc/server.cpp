@@ -48,18 +48,40 @@ std::string internal_message() {
 Server::Server(ServerOptions options)
     : options_(options),
       cache_(options.cache_shards, options.cache_capacity_per_shard),
-      queue_(options.queue_depth),
-      pool_(options.threads) {}
-
-Server::~Server() {
-  queue_.close();
-  // The pool destructor drains outstanding jobs; every admitted request
-  // has exactly one drain job, so every queued item is answered before
-  // the workers join.
+      pool_(options.threads) {
+  if (options_.queue_depth == 0) options_.queue_depth = 1;
 }
 
 bool Server::is_session_kind(RequestKind kind) noexcept {
   return kind == RequestKind::update || kind == RequestKind::subscribe;
+}
+
+std::optional<std::string> Server::parse(const std::string& line,
+                                         Item& item) {
+  item.enqueued = Clock::now();
+  try {
+    item.request = parse_request(line);
+  } catch (const Error& e) {
+    auto& k = metrics_.kind(RequestKind::invalid);
+    k.received.fetch_add(1, std::memory_order_relaxed);
+    k.errors.fetch_add(1, std::memory_order_relaxed);
+    return error_response("null", kErrBadRequest, e.what());
+  }
+  metrics_.kind(item.request.kind)
+      .received.fetch_add(1, std::memory_order_relaxed);
+  if (item.request.deadline)
+    item.deadline = item.enqueued + *item.request.deadline;
+  else if (options_.default_deadline.count() > 0)
+    item.deadline = item.enqueued + options_.default_deadline;
+  return std::nullopt;
+}
+
+bool Server::admit() noexcept {
+  std::size_t waiting = waiting_.load();
+  do {
+    if (waiting >= options_.queue_depth) return false;
+  } while (!waiting_.compare_exchange_weak(waiting, waiting + 1));
+  return true;
 }
 
 std::string Server::session_response(
@@ -88,77 +110,26 @@ std::string Server::session_response(
   }
 }
 
-void Server::submit(const std::string& line, ResponseFn respond,
-                    StreamSession* session) {
-  const Clock::time_point t0 = Clock::now();
-  QueuedItem item;
-  try {
-    item.request = parse_request(line);
-  } catch (const Error& e) {
-    auto& k = metrics_.kind(RequestKind::invalid);
-    k.received.fetch_add(1, std::memory_order_relaxed);
-    k.errors.fetch_add(1, std::memory_order_relaxed);
-    respond(error_response("null", kErrBadRequest, e.what()));
-    return;
-  }
-  metrics_.kind(item.request.kind)
-      .received.fetch_add(1, std::memory_order_relaxed);
-  if (is_session_kind(item.request.kind)) {
-    respond(session_response(item.request, session));
-    return;
-  }
-  item.respond = std::move(respond);
-  item.enqueued = t0;
-  if (item.request.deadline)
-    item.deadline = t0 + *item.request.deadline;
-  else if (options_.default_deadline.count() > 0)
-    item.deadline = t0 + options_.default_deadline;
-
-  if (!queue_.try_push(std::move(item))) {
-    metrics_.count_rejected_full();
-    item.respond(error_response(
-        item.request.id_json, kErrQueueFull,
-        "queue full (depth " + std::to_string(queue_.depth()) +
-            "); retry later"));
-    return;
-  }
-  pool_.post([this] { drain_one(); });
-}
-
-std::optional<std::string> Server::submit_fast(
+std::optional<std::string> Server::submit(
     const std::string& line, ResponseFn respond, const ShardMap* shard_map,
-    std::size_t worker_index, FastPathInfo* info,
+    std::size_t worker_index, SubmitInfo* info,
     const std::shared_ptr<StreamSession>& session) {
-  const Clock::time_point t0 = Clock::now();
-  QueuedItem item;
-  try {
-    item.request = parse_request(line);
-  } catch (const Error& e) {
-    auto& k = metrics_.kind(RequestKind::invalid);
-    k.received.fetch_add(1, std::memory_order_relaxed);
-    k.errors.fetch_add(1, std::memory_order_relaxed);
-    return error_response("null", kErrBadRequest, e.what());
-  }
+  Item item;
+  auto error = parse(line, item);
+  if (info) *info = SubmitInfo{item.request.kind};
+  if (error) return error;
   auto& k = metrics_.kind(item.request.kind);
-  k.received.fetch_add(1, std::memory_order_relaxed);
   if (is_session_kind(item.request.kind)) {
-    // Uncacheable, never memoized: info keeps inline_hit false so the
-    // event loop's raw-line memo cannot replay a stateful response.
-    if (info) {
-      info->kind = item.request.kind;
-      info->inline_hit = false;
-      info->had_deadline = false;
-    }
     if (session == nullptr)
       return session_response(item.request, nullptr);
     if (info) info->session_op = true;
     // Off the caller's thread: the job owns the request and shares the
     // session, so a connection closing meanwhile cannot free either.
     pool_.post([this, request = std::move(item.request), session,
-                respond = std::move(respond), t0] {
+                respond = std::move(respond), enqueued = item.enqueued] {
       std::string response;
       try {
-        response = session_response(request, session.get(), t0);
+        response = session_response(request, session.get(), enqueued);
       } catch (...) {
         metrics_.kind(request.kind)
             .errors.fetch_add(1, std::memory_order_relaxed);
@@ -169,79 +140,65 @@ std::optional<std::string> Server::submit_fast(
     });
     return std::nullopt;
   }
-  item.enqueued = t0;
-  if (item.request.deadline)
-    item.deadline = t0 + *item.request.deadline;
-  else if (options_.default_deadline.count() > 0)
-    item.deadline = t0 + options_.default_deadline;
-  if (info) {
-    info->kind = item.request.kind;
-    info->inline_hit = false;
-    info->had_deadline = item.deadline != Clock::time_point::max();
-  }
 
   if (cacheable(item.request.kind)) {
-    item.cache_key = cache_key(item.request);
+    item.key = cache_key(item.request);
     const bool owns_shard =
         shard_map == nullptr ||
-        shard_map->owner(cache_.shard_index(*item.cache_key)) == worker_index;
+        shard_map->owner(cache_.shard_index(*item.key)) == worker_index;
     if (owns_shard) {
-      // Inline warm-hit path: same expiry check the worker would make at
-      // pop time, then the cache — a hit responds from the loop thread
-      // with the exact bytes the pool path would have produced.
-      if (item.expired(Clock::now())) {
+      // Inline warm-hit path: the same expiry check the worker would make
+      // when the job starts, then the cache — a hit responds from the
+      // calling thread with the exact bytes the pool path would produce.
+      // A miss goes uncounted: the worker looks again when the job starts,
+      // by which time an identical request ahead of it may have filled
+      // the entry.
+      if (Clock::now() > item.deadline) {
         metrics_.count_rejected_deadline();
         return error_response(item.request.id_json, kErrDeadlineExpired,
                               "deadline expired before dispatch");
       }
-      if (auto hit = cache_.get(*item.cache_key)) {
+      if (auto hit = cache_.probe(*item.key)) {
         k.cache_hits.fetch_add(1, std::memory_order_relaxed);
         k.queue_wait.record(0);
-        k.compute.record(elapsed_us(t0, Clock::now()));
+        k.compute.record(elapsed_us(item.enqueued, Clock::now()));
         k.completed.fetch_add(1, std::memory_order_relaxed);
-        if (info) info->inline_hit = true;
+        if (info)
+          info->memoizable = item.deadline == Clock::time_point::max();
         return ok_response(item.request.id_json, *hit);
       }
     }
   }
 
-  item.respond = std::move(respond);
-  if (!queue_.try_push(std::move(item))) {
-    // Rejection leaves the item intact, so the id is still available.
+  if (!admit()) {
     metrics_.count_rejected_full();
     return error_response(
         item.request.id_json, kErrQueueFull,
-        "queue full (depth " + std::to_string(queue_.depth()) +
+        "queue full (depth " + std::to_string(options_.queue_depth) +
             "); retry later");
   }
-  pool_.post([this] { drain_one(); });
+  pool_.post([this, item = std::move(item), respond = std::move(respond)] {
+    waiting_.fetch_sub(1);
+    const Clock::time_point now = Clock::now();
+    metrics_.kind(item.request.kind)
+        .queue_wait.record(elapsed_us(item.enqueued, now));
+    if (now > item.deadline) {
+      metrics_.count_rejected_deadline();
+      respond(error_response(item.request.id_json, kErrDeadlineExpired,
+                             "deadline expired before dispatch"));
+      return;
+    }
+    respond(process(item));
+  });
   return std::nullopt;
 }
 
-void Server::drain_one() {
-  auto popped = queue_.try_pop();
-  if (!popped) return;  // close() raced; nothing left to answer
-  const QueuedItem item = std::move(*popped);
-  const Clock::time_point now = Clock::now();
-  metrics_.kind(item.request.kind)
-      .queue_wait.record(elapsed_us(item.enqueued, now));
-  if (item.expired(now)) {
-    metrics_.count_rejected_deadline();
-    item.respond(error_response(item.request.id_json, kErrDeadlineExpired,
-                                "deadline expired before dispatch"));
-    return;
-  }
-  process(item);
-}
-
-std::string Server::result_for(const Request& request,
-                               Clock::time_point deadline,
-                               std::optional<std::uint64_t> precomputed_key) {
+std::string Server::result_for(const Item& item) {
+  const Request& request = item.request;
   if (request.kind == RequestKind::stats) return to_json(metrics_.snapshot());
   auto& k = metrics_.kind(request.kind);
   if (!cacheable(request.kind)) return compute_result(request);
-  const std::uint64_t key =
-      precomputed_key ? *precomputed_key : cache_key(request);
+  const std::uint64_t key = item.key ? *item.key : cache_key(request);
   if (auto hit = cache_.get(key)) {
     k.cache_hits.fetch_add(1, std::memory_order_relaxed);
     return *std::move(hit);
@@ -249,61 +206,40 @@ std::string Server::result_for(const Request& request,
   k.cache_misses.fetch_add(1, std::memory_order_relaxed);
   // Between-stage deadline check: the expensive compute has not started
   // yet, so an expired request can still be rejected cheaply.
-  if (Clock::now() > deadline) throw DeadlineExpired();
+  if (Clock::now() > item.deadline) throw DeadlineExpired();
   std::string result = compute_result(request);
   cache_.put(key, result);
   return result;
 }
 
-void Server::process(const QueuedItem& item) {
+std::string Server::process(const Item& item) {
   auto& k = metrics_.kind(item.request.kind);
   const Clock::time_point start = Clock::now();
-  std::string response;
   try {
-    std::string result = result_for(item.request, item.deadline,
-                                    item.cache_key);
+    std::string result = result_for(item);
     k.compute.record(elapsed_us(start, Clock::now()));
     k.completed.fetch_add(1, std::memory_order_relaxed);
-    response = ok_response(item.request.id_json, result);
+    return ok_response(item.request.id_json, result);
   } catch (const DeadlineExpired&) {
     metrics_.count_rejected_deadline();
-    response = error_response(item.request.id_json, kErrDeadlineExpired,
-                              "deadline expired before compute");
+    return error_response(item.request.id_json, kErrDeadlineExpired,
+                          "deadline expired before compute");
   } catch (const Error& e) {
     k.errors.fetch_add(1, std::memory_order_relaxed);
-    response = error_response(item.request.id_json, kErrInternal, e.what());
+    return error_response(item.request.id_json, kErrInternal, e.what());
   } catch (...) {
     k.errors.fetch_add(1, std::memory_order_relaxed);
-    response =
-        error_response(item.request.id_json, kErrInternal, internal_message());
+    return error_response(item.request.id_json, kErrInternal,
+                          internal_message());
   }
-  item.respond(std::move(response));
 }
 
 std::string Server::handle(const std::string& line, StreamSession* session) {
-  std::string out;
-  const Clock::time_point t0 = Clock::now();
-  QueuedItem item;
-  try {
-    item.request = parse_request(line);
-  } catch (const Error& e) {
-    auto& k = metrics_.kind(RequestKind::invalid);
-    k.received.fetch_add(1, std::memory_order_relaxed);
-    k.errors.fetch_add(1, std::memory_order_relaxed);
-    return error_response("null", kErrBadRequest, e.what());
-  }
-  metrics_.kind(item.request.kind)
-      .received.fetch_add(1, std::memory_order_relaxed);
+  Item item;
+  if (auto error = parse(line, item)) return *std::move(error);
   if (is_session_kind(item.request.kind))
     return session_response(item.request, session);
-  item.enqueued = t0;
-  if (item.request.deadline)
-    item.deadline = t0 + *item.request.deadline;
-  else if (options_.default_deadline.count() > 0)
-    item.deadline = t0 + options_.default_deadline;
-  item.respond = [&out](std::string response) { out = std::move(response); };
-  process(item);
-  return out;
+  return process(item);
 }
 
 namespace {
@@ -314,35 +250,50 @@ namespace {
 // against the mutex it requires.
 class StreamGate {
  public:
-  void begin_request() {
+  /// Counts one request in flight and returns its ticket for finish().
+  std::uint64_t begin_request() {
     const support::MutexLock lock(flight_mutex_);
     ++in_flight_;
+    latest_answered_ = false;
+    return ++latest_;
   }
 
-  void write_response(std::ostream& out, const std::string& response) {
-    const support::MutexLock lock(out_mutex_);
-    out << response << '\n';
-    out.flush();
-  }
-
-  void end_request() {
+  /// Writes the response to request `ticket` and counts it answered.
+  void finish(std::ostream& out, const std::string& response,
+              std::uint64_t ticket) {
+    {
+      const support::MutexLock lock(out_mutex_);
+      out << response << '\n';
+      out.flush();
+    }
     // Notify under the lock: the waiter destroys this object right after
     // the predicate holds, so an unlocked notify could touch a dead cv.
     const support::MutexLock lock(flight_mutex_);
     --in_flight_;
-    drained_.notify_one();
+    if (ticket == latest_) latest_answered_ = true;
+    answered_.notify_one();
+  }
+
+  /// Waits until the latest request begun has been answered; requests
+  /// begun before it may still be in flight.
+  void wait_latest() {
+    support::MutexLock lock(flight_mutex_);
+    while (!latest_answered_) answered_.wait(lock);
   }
 
   void wait_drained() {
     support::MutexLock lock(flight_mutex_);
-    while (in_flight_ != 0) drained_.wait(lock);
+    while (in_flight_ != 0) answered_.wait(lock);
   }
 
  private:
   support::Mutex out_mutex_{support::kRankStreamOut, "stream-out"};
   support::Mutex flight_mutex_{support::kRankStreamFlight, "stream-flight"};
-  support::CondVar drained_;
+  // One waiter (the reading thread) at a time, so notify_one suffices.
+  support::CondVar answered_;
   std::size_t in_flight_ HETERO_GUARDED_BY(flight_mutex_) = 0;
+  std::uint64_t latest_ HETERO_GUARDED_BY(flight_mutex_) = 0;
+  bool latest_answered_ HETERO_GUARDED_BY(flight_mutex_) = false;
 };
 
 }  // namespace
@@ -351,18 +302,20 @@ void Server::serve_stream(std::istream& in, std::ostream& out) {
   StreamGate gate;
   // One streaming session per stream: the stdin/stdout mode behaves like a
   // single connection, so subscribe/update state lives for the whole run.
-  StreamSession session;
+  const auto session = std::make_shared<StreamSession>();
   std::string line;
   while (std::getline(in, line)) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    gate.begin_request();
-    submit(
+    const std::uint64_t ticket = gate.begin_request();
+    SubmitInfo info;
+    const auto response = submit(
         line,
-        [&gate, &out](std::string response) {
-          gate.write_response(out, response);
-          gate.end_request();
-        },
-        &session);
+        [&gate, &out, ticket](std::string r) { gate.finish(out, r, ticket); },
+        nullptr, 0, &info, session);
+    if (response)
+      gate.finish(out, *response, ticket);
+    else if (info.session_op)
+      gate.wait_latest();  // the next line may touch the same session
     line.clear();
   }
   gate.wait_drained();

@@ -5,17 +5,17 @@
 // connection's ETC matrix plus a core::EtcEstimator tracking noisy runtime
 // observations; updates then stream deltas instead of re-sending matrices.
 // Session requests are inherently uncacheable (the same bytes produce
-// different results as the view evolves), so they never pass through the
-// admission queue, the result cache, or the event loop's raw-line memo.
+// different results as the view evolves), so they never pass through
+// admission control, the result cache, or the event loop's raw-line memo.
 // Each front end keys exactly one session per connection and hands it one
-// request at a time: the event loop runs each on a pool worker and decodes
-// that connection's next frame only after it is answered; serve_stream
-// and Server::handle run them inline.
+// request at a time: the event loop and serve_stream run each on a pool
+// worker and dispatch that connection's next session request only after
+// it is answered; Server::handle runs them inline.
 //
 // Thread safety: all state is guarded by a ranked mutex
 // (support::kRankStreamSession). Session compute takes no further locks,
-// so the rank can sit anywhere; it is placed between admission and the
-// cache to keep a future cache-consulting session path legal.
+// so the rank can sit anywhere; it is placed below the cache to keep a
+// future cache-consulting session path legal.
 #pragma once
 
 #include <cstdint>

@@ -218,7 +218,7 @@ TEST(Mutex, TryLockIsExemptFromOrderingButTracked) {
 TEST(Mutex, RegistryRanksAreStrictlyLayered) {
   // The registry encodes pipeline -> compute -> delivery; a refactor that
   // reorders it should have to update this test deliberately.
-  EXPECT_LT(support::kRankRequestQueue, support::kRankCacheShard);
+  EXPECT_LT(support::kRankStreamSession, support::kRankCacheShard);
   EXPECT_LT(support::kRankCacheShard, support::kRankPoolQueue);
   EXPECT_LT(support::kRankPoolQueue, support::kRankParallelForState);
   EXPECT_LT(support::kRankParallelForState, support::kRankStreamOut);

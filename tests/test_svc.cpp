@@ -1,7 +1,8 @@
-// Service-layer tests: sharded result cache, admission-control queue,
-// protocol, metrics, and the server pipeline — including the contention
-// suites the `svc_equiv` ctest label runs under HETERO_SANITIZE=thread,
-// and the bit-identity contract between cached and cold responses.
+// Service-layer tests: sharded result cache, protocol, metrics, and the
+// server pipeline (admission control, FIFO dispatch, deadlines) —
+// including the contention suites the `svc_equiv` ctest label runs under
+// HETERO_SANITIZE=thread, and the bit-identity contract between cached and
+// cold responses.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,19 +13,21 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "etcgen/range_based.hpp"
 #include "etcgen/rng.hpp"
 #include "io/json.hpp"
+#include "pool_gate.hpp"
 #include "sched/heuristics.hpp"
 #include "svc/metrics.hpp"
 #include "svc/protocol.hpp"
-#include "svc/request_queue.hpp"
 #include "svc/result_cache.hpp"
 #include "svc/server.hpp"
 #include "svc/session.hpp"
@@ -51,19 +54,21 @@ std::string request_line(const EtcMatrix& etc, const std::string& kind,
          ",\"etc\":" + io::to_json(etc) + "}";
 }
 
-/// Synchronous submit: blocks until the response callback fires.
+/// Synchronous submit: returns the inline answer, or blocks until the
+/// response callback fires.
 std::string call(svc::Server& server, const std::string& line) {
   std::mutex m;
   std::condition_variable cv;
   std::string response;
   bool done = false;
-  server.submit(line, [&](std::string r) {
+  auto inline_response = server.submit(line, [&](std::string r) {
     // Notify under the lock: the caller destroys cv as soon as done flips.
     const std::scoped_lock lock(m);
     response = std::move(r);
     done = true;
     cv.notify_one();
   });
+  if (inline_response) return *std::move(inline_response);
   std::unique_lock lock(m);
   cv.wait(lock, [&] { return done; });
   return response;
@@ -178,12 +183,14 @@ TEST(SvcCacheKey, Sensitivity) {
 TEST(SvcResultCache, HitMissAndStats) {
   svc::ResultCache cache(4, 8);
   EXPECT_FALSE(cache.get(1).has_value());
+  EXPECT_FALSE(cache.probe(1).has_value());  // a probe's miss is not counted
   cache.put(1, "one");
   ASSERT_TRUE(cache.get(1).has_value());
   EXPECT_EQ(*cache.get(1), "one");
+  EXPECT_EQ(cache.probe(1), std::optional<std::string>("one"));
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.hits, 3u);
   EXPECT_EQ(stats.entries, 1u);
 }
 
@@ -250,96 +257,6 @@ TEST(SvcResultCache, ConcurrentStormIsCoherent) {
   EXPECT_EQ(stats.entries + stats.evictions,
             stats.misses == 0 ? stats.entries : stats.entries + stats.evictions);
   EXPECT_LE(stats.entries, 8u * 4u);
-}
-
-// ---------------------------------------------------------------------------
-// RequestQueue.
-
-svc::QueuedItem make_item(std::string id = "null") {
-  svc::QueuedItem item;
-  item.request.kind = svc::RequestKind::stats;
-  item.request.id_json = std::move(id);
-  item.respond = [](std::string) {};
-  item.enqueued = std::chrono::steady_clock::now();
-  return item;
-}
-
-TEST(SvcRequestQueue, RejectsWhenFull) {
-  svc::RequestQueue queue(2);
-  EXPECT_TRUE(queue.try_push(make_item()));
-  EXPECT_TRUE(queue.try_push(make_item()));
-  svc::QueuedItem overflow = make_item("\"overflow\"");
-  EXPECT_FALSE(queue.try_push(std::move(overflow)));
-  // Rejection leaves the item intact so the caller can respond.
-  EXPECT_EQ(overflow.request.id_json, "\"overflow\"");
-  ASSERT_TRUE(queue.pop().has_value());
-  EXPECT_TRUE(queue.try_push(make_item()));  // space again
-}
-
-TEST(SvcRequestQueue, FifoAndSequence) {
-  svc::RequestQueue queue(8);
-  ASSERT_TRUE(queue.try_push(make_item("\"a\"")));
-  ASSERT_TRUE(queue.try_push(make_item("\"b\"")));
-  const auto first = queue.pop();
-  const auto second = queue.pop();
-  ASSERT_TRUE(first && second);
-  EXPECT_EQ(first->request.id_json, "\"a\"");
-  EXPECT_EQ(second->request.id_json, "\"b\"");
-  EXPECT_LT(first->sequence, second->sequence);
-}
-
-TEST(SvcRequestQueue, CloseRejectsPushesButDrains) {
-  svc::RequestQueue queue(4);
-  ASSERT_TRUE(queue.try_push(make_item()));
-  queue.close();
-  EXPECT_FALSE(queue.try_push(make_item()));
-  EXPECT_TRUE(queue.try_pop().has_value());  // admitted work still drains
-  EXPECT_FALSE(queue.pop().has_value());     // then closed-and-empty
-}
-
-TEST(SvcRequestQueue, DepthZeroClampsToOne) {
-  svc::RequestQueue queue(0);
-  EXPECT_EQ(queue.depth(), 1u);
-  EXPECT_TRUE(queue.try_push(make_item()));
-  EXPECT_FALSE(queue.try_push(make_item()));
-}
-
-// Producer/consumer storm across threads: every admitted item is popped
-// exactly once, rejected items are counted, nothing is lost.
-TEST(SvcRequestQueue, ConcurrentPushPopConserved) {
-  svc::RequestQueue queue(16);
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 500;
-  std::atomic<int> admitted{0}, rejected{0}, popped{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        if (queue.try_push(make_item()))
-          admitted.fetch_add(1);
-        else
-          rejected.fetch_add(1);
-      }
-    });
-  }
-  std::atomic<bool> stop{false};
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      while (!stop.load()) {
-        if (queue.try_pop())
-          popped.fetch_add(1);
-        else
-          std::this_thread::yield();
-      }
-      while (queue.try_pop()) popped.fetch_add(1);
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[static_cast<std::size_t>(p)].join();
-  stop.store(true);
-  for (std::size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
-  EXPECT_EQ(admitted.load() + rejected.load(), kProducers * kPerProducer);
-  EXPECT_EQ(popped.load(), admitted.load());
 }
 
 // ---------------------------------------------------------------------------
@@ -587,12 +504,14 @@ TEST(SvcServer, SubmitStormEveryRequestAnsweredAndIdentical) {
         const std::size_t which =
             (static_cast<std::size_t>(c) + static_cast<std::size_t>(i)) %
             lines.size();
-        server.submit(lines[which], [&, which](std::string response) {
+        const auto record = [&, which](std::string response) {
           const std::scoped_lock lock(m);
           responses[which].push_back(std::move(response));
           --outstanding;
           done_cv.notify_one();
-        });
+        };
+        if (auto response = server.submit(lines[which], record))
+          record(*std::move(response));
       }
     });
   }
@@ -610,44 +529,40 @@ TEST(SvcServer, SubmitStormEveryRequestAnsweredAndIdentical) {
     }
   }
   EXPECT_EQ(total, static_cast<std::size_t>(kClients) * kPerClient);
+  // Each request counts once in the cache statistics, and an inline miss
+  // is looked up again when its job starts, so identical requests queued
+  // behind a compute reuse its result instead of each computing.
   const auto stats = server.cache().stats();
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::uint64_t>(kClients) * kPerClient);
   EXPECT_GE(stats.hits, stats.misses);  // 4 distinct matrices, 200 requests
+  // Every computed result landed in the cache: the storm's lines are now
+  // warm hits, answered inline with the bytes the pool produced.
+  for (std::size_t w = 0; w < lines.size(); ++w) {
+    const auto warm = server.submit(
+        lines[w], [](std::string) { FAIL() << "warm hit must answer inline"; });
+    ASSERT_TRUE(warm.has_value());
+    EXPECT_EQ(*warm, responses[w].front());
+  }
 }
 
 TEST(SvcServer, FullQueueRejectsExplicitly) {
   // Deterministic overload: the single worker is parked inside the first
-  // request's respond callback, so every subsequent submit lands in the
-  // 2-deep queue — two admitted, the rest rejected with 429, no timing
-  // dependence.
-  svc::ServerOptions options;
-  options.threads = 1;
-  options.queue_depth = 2;
-  svc::Server server(options);
-  const std::string line =
-      request_line(test_matrix(8, 4, 31), "characterize", ",\"id\":3");
-
-  std::mutex m;
-  std::condition_variable cv;
-  bool worker_parked = false;
-  bool release_worker = false;
-  server.submit(line, [&](std::string) {
-    std::unique_lock lock(m);
-    worker_parked = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return release_worker; });
-  });
-  {
-    std::unique_lock lock(m);
-    cv.wait(lock, [&] { return worker_parked; });
-  }
-
-  constexpr int kFlood = 8;
-  int outstanding = kFlood;
-  int ok = 0, rejected = 0, other = 0;
-  for (int i = 0; i < kFlood; ++i) {
-    server.submit(line, [&](std::string response) {
+  // request's respond callback, so the flood waits on the pool until
+  // `depth` requests are admitted, and the rest are rejected with 429 — no
+  // timing dependence. Depth 0 is taken as 1. Every flood line carries its
+  // own matrix: a repeated one would be a warm hit, answered inline.
+  for (const auto& [depth, admitted] :
+       {std::pair<std::size_t, int>{2, 2}, std::pair<std::size_t, int>{0, 1}}) {
+    SCOPED_TRACE("queue_depth " + std::to_string(depth));
+    std::mutex m;
+    std::condition_variable cv;
+    bool worker_parked = false;
+    bool release_worker = false;
+    constexpr int kFlood = 8;
+    int outstanding = kFlood;
+    int ok = 0, rejected = 0, other = 0;
+    const auto tally = [&](const std::string& response) {
       const std::scoped_lock lock(m);
       if (response.find("\"ok\":true") != std::string::npos)
         ++ok;
@@ -657,26 +572,83 @@ TEST(SvcServer, FullQueueRejectsExplicitly) {
         ++other;
       --outstanding;
       cv.notify_all();
-    });
+    };
+
+    svc::ServerOptions options;
+    options.threads = 1;
+    options.queue_depth = depth;
+    svc::Server server(options);
+    const auto parked = server.submit(
+        request_line(test_matrix(8, 4, 31), "characterize", ",\"id\":3"),
+        [&](std::string) {
+          std::unique_lock lock(m);
+          worker_parked = true;
+          cv.notify_all();
+          cv.wait(lock, [&] { return release_worker; });
+        });
+    ASSERT_FALSE(parked.has_value());
+    {
+      std::unique_lock lock(m);
+      cv.wait(lock, [&] { return worker_parked; });
+    }
+
+    for (int i = 0; i < kFlood; ++i) {
+      const std::string line =
+          request_line(test_matrix(8, 4, 32 + static_cast<std::uint64_t>(i)),
+                       "characterize", ",\"id\":3");
+      if (auto response = server.submit(line, tally)) tally(*response);
+    }
+    {
+      // Rejections are answered inline, so the flood loop above already
+      // counted them; the admitted requests complete once the worker
+      // resumes.
+      const std::scoped_lock lock(m);
+      EXPECT_EQ(rejected, kFlood - admitted);
+      release_worker = true;
+      cv.notify_all();
+    }
+    std::unique_lock lock(m);
+    cv.wait(lock, [&] { return outstanding == 0; });
+    // Never dropped silently: every request got exactly one response, and
+    // overload surfaced as explicit 429s.
+    EXPECT_EQ(ok + rejected + other, kFlood);
+    EXPECT_EQ(other, 0);
+    EXPECT_EQ(ok, admitted);
+    EXPECT_EQ(rejected, kFlood - admitted);
+    EXPECT_EQ(server.metrics().snapshot().rejected_full,
+              static_cast<std::uint64_t>(rejected));
   }
+}
+
+// The pool's FIFO is the only request queue: on a one-thread pool,
+// admitted requests are answered in the order they were submitted.
+TEST(SvcServer, AdmittedRequestsAnsweredInSubmitOrder) {
+  std::mutex m;
+  std::vector<int> order;
+  svc::ServerOptions options;
+  options.threads = 1;
+  svc::Server server(options);
+  constexpr int kRequests = 6;
   {
-    // Rejections are synchronous, so the flood loop above already counted
-    // them; the two admitted requests complete once the worker resumes.
-    const std::scoped_lock lock(m);
-    EXPECT_EQ(rejected, kFlood - 2);
-    release_worker = true;
-    cv.notify_all();
+    hetero::testing::PoolGate gate(server.pool());
+    for (int i = 0; i < kRequests; ++i) {
+      const std::string line =
+          request_line(test_matrix(6, 3, 80 + static_cast<std::uint64_t>(i)),
+                       "measures", ",\"id\":" + std::to_string(i));
+      const auto response = server.submit(line, [&, i](std::string r) {
+        EXPECT_NE(r.find("\"ok\":true"), std::string::npos) << r;
+        const std::scoped_lock lock(m);
+        order.push_back(i);
+      });
+      ASSERT_FALSE(response.has_value());
+    }
   }
-  std::unique_lock lock(m);
-  cv.wait(lock, [&] { return outstanding == 0; });
-  // Never dropped silently: every request got exactly one response, and
-  // overload surfaced as explicit 429s.
-  EXPECT_EQ(ok + rejected + other, kFlood);
-  EXPECT_EQ(other, 0);
-  EXPECT_EQ(ok, 2);
-  EXPECT_EQ(rejected, kFlood - 2);
-  EXPECT_EQ(server.metrics().snapshot().rejected_full,
-            static_cast<std::uint64_t>(rejected));
+  ASSERT_TRUE(hetero::testing::wait_until([&] {
+    const std::scoped_lock lock(m);
+    return order.size() == static_cast<std::size_t>(kRequests);
+  }));
+  const std::scoped_lock lock(m);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(SvcServer, ExpiredDeadlineRejectedBeforeDispatch) {
@@ -750,7 +722,8 @@ TEST(SvcServer, DestructorDrainsAdmittedWork) {
     const std::string line =
         request_line(test_matrix(24, 6, 71), "characterize", "");
     for (int i = 0; i < 16; ++i)
-      server.submit(line, [&](std::string) { answered.fetch_add(1); });
+      if (server.submit(line, [&](std::string) { answered.fetch_add(1); }))
+        answered.fetch_add(1);  // a warm hit, answered inline
   }
   EXPECT_EQ(answered.load(), 16);
 }

@@ -1,8 +1,8 @@
 // Async service front-end tests: resumable NDJSON framing (byte-at-a-time
 // and random splits must decode byte-identically to whole-buffer
-// splitting), consistent-hash shard ownership, the submit_fast inline
+// splitting), consistent-hash shard ownership, Server::submit's inline
 // path, and the epoll event loop end to end over real sockets — including
-// bit-identity against the PR 5 blocking submit path, oversized-frame
+// bit-identity against a Server driven without the loop, oversized-frame
 // resync, idle timeouts, write backpressure, graceful-shutdown flushing,
 // pool workers writing (and spilling) responses beside the loop, responses
 // of a closed connection dropped, and the non-blocking load-generator
@@ -67,19 +67,21 @@ std::vector<std::string> fixture_lines() {
   };
 }
 
-/// Synchronous submit through the blocking (PR 5) path.
+/// Synchronous submit: returns the inline answer, or blocks until the
+/// response callback fires.
 std::string call(svc::Server& server, const std::string& line) {
   std::mutex m;
   std::condition_variable cv;
   std::string response;
   bool done = false;
-  server.submit(line, [&](std::string r) {
+  auto inline_response = server.submit(line, [&](std::string r) {
     // Notify under the lock: the caller destroys cv as soon as done flips.
     const std::scoped_lock lock(m);
     response = std::move(r);
     done = true;
     cv.notify_one();
   });
+  if (inline_response) return *std::move(inline_response);
   std::unique_lock lock(m);
   cv.wait(lock, [&] { return done; });
   return response;
@@ -282,18 +284,18 @@ TEST(SvcShardMap, ZeroGeometryClamps) {
 }
 
 // ---------------------------------------------------------------------------
-// Server::submit_fast: the event-loop entry point.
+// Server::submit: the inline answers and the pool path.
 
 TEST(SvcSubmitFast, ParseErrorReturnsInline) {
   svc::Server server;
-  svc::Server::FastPathInfo info;
-  const auto response = server.submit_fast(
+  svc::Server::SubmitInfo info;
+  const auto response = server.submit(
       "garbage", [](std::string) { FAIL() << "respond must not fire"; },
       nullptr, 0, &info);
   ASSERT_TRUE(response.has_value());
   EXPECT_NE(response->find("\"code\":400"), std::string::npos);
   EXPECT_EQ(info.kind, svc::RequestKind::invalid);
-  EXPECT_FALSE(info.inline_hit);
+  EXPECT_FALSE(info.memoizable);
 }
 
 TEST(SvcSubmitFast, ColdMissGoesAsyncThenWarmHitInline) {
@@ -304,8 +306,8 @@ TEST(SvcSubmitFast, ColdMissGoesAsyncThenWarmHitInline) {
   std::condition_variable cv;
   std::string async_response;
   bool done = false;
-  svc::Server::FastPathInfo info;
-  const auto cold = server.submit_fast(
+  svc::Server::SubmitInfo info;
+  const auto cold = server.submit(
       line,
       [&](std::string r) {
         const std::scoped_lock lock(m);
@@ -316,17 +318,21 @@ TEST(SvcSubmitFast, ColdMissGoesAsyncThenWarmHitInline) {
       nullptr, 0, &info);
   EXPECT_FALSE(cold.has_value());  // miss: the pool answers
   EXPECT_EQ(info.kind, svc::RequestKind::characterize);
-  EXPECT_FALSE(info.had_deadline);
+  EXPECT_FALSE(info.memoizable);
   {
     std::unique_lock lock(m);
     cv.wait(lock, [&] { return done; });
   }
+  // The inline miss goes uncounted; the worker's lookup counts it once.
+  EXPECT_EQ(server.cache().stats().misses, 1u);
+  EXPECT_EQ(server.cache().stats().hits, 0u);
 
-  const auto warm = server.submit_fast(
+  const auto warm = server.submit(
       line, [](std::string) { FAIL() << "warm hit must answer inline"; },
       nullptr, 0, &info);
   ASSERT_TRUE(warm.has_value());
-  EXPECT_TRUE(info.inline_hit);
+  EXPECT_TRUE(info.memoizable);
+  EXPECT_EQ(server.cache().stats().hits, 1u);
   EXPECT_EQ(*warm, async_response);  // bit-identical to the cold response
   EXPECT_EQ(*warm, call(server, line));  // and to the blocking path
 }
@@ -337,14 +343,14 @@ TEST(SvcSubmitFast, NonOwnedShardTakesTheQueuePath) {
   call(server, line);  // warm the cache
 
   // A map whose single worker index is 0: claiming index 1 owns nothing,
-  // so even a warm hit must go through the queue (and still answer with
+  // so even a warm hit must go through the pool (and still answer with
   // the identical cached bytes).
   const svc::ShardMap map(server.cache().shard_count(), 1);
   std::mutex m;
   std::condition_variable cv;
   std::string async_response;
   bool done = false;
-  const auto result = server.submit_fast(
+  const auto result = server.submit(
       line,
       [&](std::string r) {
         const std::scoped_lock lock(m);
@@ -359,27 +365,20 @@ TEST(SvcSubmitFast, NonOwnedShardTakesTheQueuePath) {
   EXPECT_EQ(async_response, call(server, line));
 }
 
+// A warm hit for a request with a deadline is answered inline but is not
+// memoizable: its 408-versus-result outcome depends on the clock.
 TEST(SvcSubmitFast, DeadlineMarksInfo) {
   svc::Server server;
   const std::string line =
       request_line(test_matrix(4, 2, 3), "measures", ",\"deadline_ms\":5000");
-  svc::Server::FastPathInfo info;
-  std::mutex m;
-  std::condition_variable cv;
-  bool done = false;
-  const auto result = server.submit_fast(
-      line,
-      [&](std::string) {
-        const std::scoped_lock lock(m);
-        done = true;
-        cv.notify_one();
-      },
+  const std::string cold = call(server, line);
+  svc::Server::SubmitInfo info;
+  const auto warm = server.submit(
+      line, [](std::string) { FAIL() << "warm hit must answer inline"; },
       nullptr, 0, &info);
-  EXPECT_TRUE(info.had_deadline);
-  if (!result.has_value()) {
-    std::unique_lock lock(m);
-    cv.wait(lock, [&] { return done; });
-  }
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_EQ(*warm, cold);
+  EXPECT_FALSE(info.memoizable);
 }
 
 }  // namespace

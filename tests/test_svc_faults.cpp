@@ -126,9 +126,9 @@ TEST(SvcFaults, BadAllocInComputeAnswers500) {
     // The parse runs on this thread before the gate opens; the failure is
     // armed only once the request waits on the pool.
     hetero::testing::PoolGate gate(server.pool());
-    server.submit("{\"id\":3,\"kind\":\"characterize\",\"etc\":" +
-                      matrix_json(1) + "}",
-                  answer.callback());
+    const std::string line =
+        "{\"id\":3,\"kind\":\"characterize\",\"etc\":" + matrix_json(1) + "}";
+    ASSERT_FALSE(server.submit(line, answer.callback()).has_value());
     g_fail_at_least.store(kFailAtLeast);
   }
   const std::string got = answer.wait();
@@ -140,9 +140,9 @@ TEST(SvcFaults, BadAllocInComputeAnswers500) {
 
   // The worker survived, and the failure was not cached.
   Answer again;
-  server.submit("{\"id\":4,\"kind\":\"characterize\",\"etc\":" +
-                    matrix_json(1) + "}",
-                again.callback());
+  const std::string line =
+      "{\"id\":4,\"kind\":\"characterize\",\"etc\":" + matrix_json(1) + "}";
+  ASSERT_FALSE(server.submit(line, again.callback()).has_value());
   const std::string ok = again.wait();
   EXPECT_NE(ok.find("\"ok\":true"), std::string::npos) << ok;
   EXPECT_EQ(answer.count(), 1);
@@ -156,8 +156,8 @@ TEST(SvcFaults, BadAllocInSessionJobAnswers500) {
   Answer answer;
   {
     hetero::testing::PoolGate gate(server.pool());
-    svc::Server::FastPathInfo info;
-    const auto inline_response = server.submit_fast(
+    svc::Server::SubmitInfo info;
+    const auto inline_response = server.submit(
         "{\"id\":8,\"kind\":\"subscribe\",\"etc\":" + matrix_json(2) + "}",
         answer.callback(), nullptr, 0, &info, session);
     ASSERT_FALSE(inline_response.has_value());

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -185,26 +186,37 @@ TEST(SvcStream, ByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(runs[0], runs[2]);
 }
 
+// Session ops run on the pool, but serve_stream dispatches the next line
+// only after one is answered: the session sees its updates in order even
+// with stateless requests in flight between them.
 TEST(SvcStream, ServeStreamKeepsOneSession) {
   svc::Server server;
   const EtcMatrix etc = test_matrix(6, 3, 23);
+  const std::string characterize =
+      ",\"kind\":\"characterize\",\"etc\":" + io::to_json(etc) + "}";
   std::istringstream in(
-      subscribe_line(etc) + "\n" +
-      update_line("\"set\":[{\"task\":1,\"machine\":1,\"etc\":3.0}]") + "\n" +
-      update_line("\"observe\":[{\"task\":0,\"machine\":0,"
+      subscribe_line(etc, ",\"id\":1") + "\n" +
+      "{\"id\":10" + characterize + "\n" +
+      update_line("\"id\":2,\"set\":[{\"task\":1,\"machine\":1,"
+                  "\"etc\":3.0}]") +
+      "\n" + "{\"id\":11" + characterize + "\n" +
+      update_line("\"id\":3,\"observe\":[{\"task\":0,\"machine\":0,"
                   "\"runtime\":5.0}]") +
       "\n");
   std::ostringstream out;
   server.serve_stream(in, out);
 
+  // Responses arrive in completion order; find each by its id.
   std::istringstream lines(out.str());
   std::string line;
-  std::vector<std::string> responses;
-  while (std::getline(lines, line)) responses.push_back(line);
-  ASSERT_EQ(responses.size(), 3u);
-  for (const std::string& r : responses) EXPECT_TRUE(is_ok(r)) << r;
-  EXPECT_NE(responses[1].find("\"version\":1"), std::string::npos);
-  EXPECT_NE(responses[2].find("\"version\":2"), std::string::npos);
+  std::map<std::string, std::string> by_id;
+  while (std::getline(lines, line))
+    by_id[io::to_json(io::parse_json(line).at("id"))] = line;
+  ASSERT_EQ(by_id.size(), 5u);
+  for (const auto& [id, r] : by_id) EXPECT_TRUE(is_ok(r)) << id << ": " << r;
+  EXPECT_NE(by_id["2"].find("\"version\":1"), std::string::npos);
+  EXPECT_NE(by_id["3"].find("\"version\":2"), std::string::npos);
+  EXPECT_EQ(by_id["10"], server.handle("{\"id\":10" + characterize));
 }
 
 // --- Event-loop (epoll) front end over real sockets ---------------------

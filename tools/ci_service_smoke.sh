@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# End-to-end smoke for the epoll service: boots hetero_served with two
-# event-loop workers on an ephemeral port, drives it over real sockets
+# End-to-end smoke for the service. First pipes a fixed NDJSON script
+# (tools/served_stdin.ndjson: subscribe, updates, characterize, a garbage
+# line) through hetero_served's stdin mode and diffs the sorted responses
+# against tools/expected/served_stdin.txt. Then boots hetero_served with
+# two event-loop workers on an ephemeral port, drives it over real sockets
 # with a few hundred concurrent closed-loop clients via the perf_service
 # harness (which exits non-zero on any malformed or dropped response),
-# then checks that SIGTERM produces a graceful drain and a clean exit
+# and checks that SIGTERM produces a graceful drain and a clean exit
 # with the connection gauges in the shutdown metrics dump.
 #
 # Usage, from the repository root (after cmake --build build):
@@ -34,6 +37,12 @@ harness="$BUILD_DIR/bench/perf_service"
 for bin in "$served" "$harness"; do
   [ -x "$bin" ] || { echo "missing binary: $bin (build first)" >&2; exit 1; }
 done
+
+# Stdin mode answers in completion order, so the order-free comparison is
+# of the sorted lines.
+echo "== smoke: stdin script through --threads 2"
+"$served" --threads 2 < "$REPO_ROOT/tools/served_stdin.ndjson" 2>/dev/null |
+  LC_ALL=C sort | diff -u "$REPO_ROOT/tools/expected/served_stdin.txt" -
 
 log=$(mktemp)
 cleanup() {
