@@ -43,7 +43,6 @@ BatchEngine::BatchEngine(const core::EtcMatrix& etc, BatchPolicy policy)
       base_second_ct_(etc.task_count(), kInf),
       base_best_j_(etc.task_count(), 0),
       has_base_(etc.task_count(), 0),
-      type_epoch_(etc.task_count(), 0),
       type_group_(etc.task_count(), kNone),
       base_ready_(etc.machine_count(), 0.0),
       ready_(etc.machine_count(), 0.0) {}
@@ -122,7 +121,9 @@ void BatchEngine::add_slot(std::size_t slot, std::size_t type) {
                         "BatchEngine: slot is already registered");
   slot_active_[slot] = 1;
   slot_type_[slot] = static_cast<std::uint32_t>(type);
-  ++type_count_[type];
+  if (type_count_[type]++ == 0) {
+    live_types_.push_back(static_cast<std::uint32_t>(type));
+  }
   active_.push_back(slot);
 }
 
@@ -134,7 +135,10 @@ void BatchEngine::remove_slot(std::size_t slot) {
   // A type with no active slots is not revalidated by begin_epoch(), so
   // its cache goes stale: drop it.
   const std::size_t type = slot_type_[slot];
-  if (--type_count_[type] == 0) has_base_[type] = 0;
+  if (--type_count_[type] > 0) return;
+  has_base_[type] = 0;
+  live_types_.erase(
+      std::find(live_types_.begin(), live_types_.end(), type));
 }
 
 void BatchEngine::clear_slots() {
@@ -144,6 +148,7 @@ void BatchEngine::clear_slots() {
     has_base_[slot_type_[s]] = 0;
   }
   active_.clear();
+  live_types_.clear();
   have_epoch_ = false;
   rounds_left_ = 0;
 }
@@ -165,13 +170,9 @@ void BatchEngine::begin_epoch(const std::vector<double>& base_ready) {
     }
   }
 
-  // Revalidate each type with active slots once: the stamp skips the
-  // type's later slots, so the pass is O(active slots), not O(types).
-  ++epoch_;
-  for (const std::size_t s : active_) {
-    const std::size_t t = slot_type_[s];
-    if (type_epoch_[t] == epoch_) continue;
-    type_epoch_[t] = epoch_;
+  // Revalidate each type with active slots once. Each rescan writes only
+  // its own type's cache, so the visiting order does not matter.
+  for (const std::size_t t : live_types_) {
     if (rebuild || !has_base_[t]) {
       rescan(t, base_ready, base_best_ct_[t], base_second_ct_[t],
              base_best_j_[t]);

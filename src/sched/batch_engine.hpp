@@ -150,14 +150,13 @@ class BatchEngine {
 
   // Per-type state: the number of active slots, and the epoch-start cache,
   // valid against base_ready_ for every type with active slots and
-  // has_base_ set. type_epoch_ stamps the last begin_epoch() that
-  // revalidated the type, so each type is visited once per epoch.
+  // has_base_ set. live_types_ lists the types with active slots, so
+  // begin_epoch() visits each once.
   std::vector<std::uint32_t> type_count_;
   std::vector<double> base_best_ct_, base_second_ct_;
   std::vector<std::size_t> base_best_j_;
   std::vector<char> has_base_;
-  std::vector<std::uint64_t> type_epoch_;
-  std::uint64_t epoch_ = 0;
+  std::vector<std::uint32_t> live_types_;
 
   // The open plan's state, one entry per group, as parallel compact
   // arrays so the two hot scans — the priority max-scan (group_prio_ only) and the

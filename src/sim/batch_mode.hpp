@@ -37,26 +37,33 @@ inline Scan scan(const core::EtcMatrix& etc,
 }
 
 // The batch schedulers re-plan the whole unstarted set on every arrival
-// and completion (the BatchEngine-backed tokens commit only the part of
-// the plan the engine can read before it calls them again, and the rest
-// at the next tick; sim/schedulers.cpp). The BatchEngine-backed tokens
-// and their cold yardstick keep the set in the same *registration
-// order* — arrival order, except that a task returned to the pool by a
-// migration landing re-registers at the back when the next replan
-// discovers it — so the cold scan and the BatchEngine's
+// and completion (the BatchEngine-backed tokens assign only the part of
+// the plan dispatch reads and defer the rest to the engine, which commits
+// it when something else reads a queue; sim/schedulers.cpp). The
+// BatchEngine-backed tokens and their cold yardstick keep the set in the
+// same *registration order* — arrival order, except that a task returned
+// to the pool by a migration landing re-registers at the back when the
+// next replan discovers it — so the cold scan and the BatchEngine's
 // registration-order scan break every priority tie identically.
+//
+// The owner drops every task that starts, so the registered tasks are
+// always a subset of the unstarted ones.
 class PendingRegistry {
  public:
   // Appends unstarted tasks not yet registered (ascending id, so fresh
   // arrivals land at the back in arrival order); returns how many.
   std::size_t sync(const std::deque<std::size_t>& unstarted) {
+    // A subset of equal size is the whole set; one short, with the back
+    // unregistered, lacks exactly that arrival.
+    if (unstarted.size() == order_.size()) return 0;
+    if (unstarted.size() == order_.size() + 1 &&
+        !registered(unstarted.back())) {
+      track(unstarted.back());
+      return 1;
+    }
     const std::size_t before = order_.size();
     for (const std::size_t t : unstarted) {
-      if (t >= tracked_.size()) tracked_.resize(t + 1, 0);
-      if (!tracked_[t]) {
-        tracked_[t] = 1;
-        order_.push_back(t);
-      }
+      if (!registered(t)) track(t);
     }
     return order_.size() - before;
   }
@@ -64,7 +71,7 @@ class PendingRegistry {
   // The task started executing: drops it from the registry, returning
   // whether it was registered.
   bool drop(std::size_t task) {
-    if (task >= tracked_.size() || !tracked_[task]) return false;
+    if (!registered(task)) return false;
     tracked_[task] = 0;
     order_.erase(std::find(order_.begin(), order_.end(), task));
     return true;
@@ -73,13 +80,22 @@ class PendingRegistry {
   const std::vector<std::size_t>& order() const { return order_; }
 
  private:
+  bool registered(std::size_t task) const {
+    return task < tracked_.size() && tracked_[task];
+  }
+  void track(std::size_t task) {
+    if (task >= tracked_.size()) tracked_.resize(task + 1, 0);
+    tracked_[task] = 1;
+    order_.push_back(task);
+  }
+
   std::vector<std::size_t> order_;
   std::vector<char> tracked_;  // by task id
 };
 
 // What every batch scheduler shares: a re-plan on every arrival and
 // completion over the registered unstarted set. Every re-plan begins
-// with a recall, so what a previous plan left queued or uncommitted is
+// with a recall, so what a previous plan left queued or deferred is
 // dropped, never read.
 class BatchMode : public OnlineScheduler {
  public:

@@ -86,6 +86,7 @@ Engine::Engine(const Scenario& scenario, std::vector<SimArrival> arrivals,
       machines_.push_back(std::move(m));
     }
   }
+  dirty_.assign((machines_.size() + 63) / 64, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -172,6 +173,7 @@ void Engine::set_sleep(std::size_t machine, std::size_t depth) {
   Machine& m = machines_[machine];
   if (m.spec->s_states.size() < 2) return;  // no sleep states defined
   if (m.power != PowerState::awake) return; // already sleeping or in motion
+  run_deferred();
   detail::require_value(m.busy == 0 && m.queue.empty() && m.inbound == 0,
                         "set_sleep: machine has running or queued work");
   accrue(m);
@@ -234,15 +236,24 @@ void Engine::schedule_completion(std::uint32_t task_id) {
   push_event(t.eta, EventKind::completion, task_id, t.gen);
 }
 
+void Engine::run_deferred() {
+  if (!deferred_) return;
+  const std::function<void(Engine&)> rest = std::move(deferred_);
+  deferred_ = nullptr;
+  rest(*this);
+}
+
 void Engine::enqueue(std::uint32_t machine, std::uint32_t task_id) {
   Machine& m = machines_[machine];
   m.queue.push_back(task_id);
+  mark(machine);
   if (!m.queued_work_stale) {
     m.queued_work += etc_(tasks_[task_id].cls, machine);
   }
 }
 
 void Engine::dispatch_machine(std::uint32_t id) {
+  dirty_[id / 64] &= ~(std::uint64_t{1} << (id % 64));
   Machine& m = machines_[id];
   if (m.power != PowerState::awake) {
     if (!m.queue.empty()) start_wake(m, id);
@@ -273,12 +284,22 @@ void Engine::dispatch_machine(std::uint32_t id) {
 }
 
 void Engine::dispatch_all() {
-  for (std::uint32_t j = 0; j < machines_.size(); ++j) dispatch_machine(j);
+  // on_start may mark any machine; `ahead` masks off this word's bits at
+  // or below the machine just visited, and earlier words are not rescanned.
+  for (std::size_t w = 0; w < dirty_.size(); ++w) {
+    std::uint64_t ahead = ~std::uint64_t{0};
+    while (const std::uint64_t live = dirty_[w] & ahead) {
+      const int bit = std::countr_zero(live);
+      ahead = bit == 63 ? 0 : ~std::uint64_t{0} << (bit + 1);
+      dispatch_machine(static_cast<std::uint32_t>(w * 64 + bit));
+    }
+  }
 }
 
 void Engine::finish_task(std::uint32_t task_id) {
   Task& t = tasks_[task_id];
   Machine& m = machines_[t.machine];
+  mark(t.machine);
   accrue(m);
   --m.busy;
   m.mem_free += scenario_.task_classes[t.cls].memory_mb;
@@ -358,6 +379,7 @@ void Engine::on_transition_event(const Event& ev) {
 void Engine::on_migration_event(const Event& ev) {
   Task& t = tasks_[ev.id];
   if (ev.gen != t.gen || t.state != TaskState::migrating) return;
+  run_deferred();  // the landing appends behind the whole plan
   Machine& m = machines_[t.machine];
   --m.inbound;
   t.state = TaskState::queued;
@@ -371,6 +393,9 @@ void Engine::on_migration_event(const Event& ev) {
 
 void Engine::on_tick_event() {
   scheduler_->on_tick(*this);
+  if (options_.dvfs || options_.migration || options_.power_gating) {
+    run_deferred();  // the controllers read whole queues
+  }
   if (options_.dvfs) controller_dvfs();
   if (options_.migration) controller_migrate();
   if (options_.power_gating) controller_power_gate();
@@ -490,7 +515,13 @@ bool Engine::assignable(std::size_t task) const {
 }
 
 std::vector<double> Engine::base_ready_times() const {
-  std::vector<double> base(machines_.size(), now_);
+  std::vector<double> base;
+  base_ready_times(base);
+  return base;
+}
+
+void Engine::base_ready_times(std::vector<double>& base) const {
+  base.resize(machines_.size());
   for (std::size_t j = 0; j < machines_.size(); ++j) {
     const Machine& m = machines_[j];
     double avail = now_;
@@ -516,7 +547,6 @@ std::vector<double> Engine::base_ready_times() const {
     }
     base[j] = avail;
   }
-  return base;
 }
 
 std::vector<double> Engine::ready_times() const {
@@ -537,7 +567,9 @@ std::vector<double> Engine::ready_times() const {
 }
 
 void Engine::recall_queued() {
+  deferred_ = nullptr;
   for (Machine& m : machines_) {
+    if (m.queue.empty()) continue;  // its sum re-sums to 0 if stale
     for (const std::uint32_t tid : m.queue) {
       tasks_[tid].state = TaskState::pending;
     }
@@ -563,12 +595,18 @@ void Engine::assign(std::size_t task, std::size_t machine) {
     if (it != old.queue.end()) {
       old.queue.erase(it);
       old.queued_work_stale = true;
+      mark(t.machine);  // the removal may unblock its head
     }
   }
   t.state = TaskState::queued;
   t.machine = static_cast<std::uint32_t>(machine);
   enqueue(static_cast<std::uint32_t>(machine),
           static_cast<std::uint32_t>(task));
+}
+
+void Engine::defer(std::function<void(Engine&)> rest) {
+  run_deferred();
+  deferred_ = std::move(rest);
 }
 
 bool Engine::migrate(std::size_t task, std::size_t machine) {
@@ -580,6 +618,7 @@ bool Engine::migrate(std::size_t task, std::size_t machine) {
   detail::require_value(can_run(task, machine),
                         "migrate: target cannot run this task");
   Machine& src = machines_[t.machine];
+  mark(t.machine);
   accrue(src);
   const double rate =
       src.spec->mips[src.p] / scenario_.multiplier(t.cls, src.cls);
@@ -678,17 +717,27 @@ SimReport Engine::run(OnlineScheduler& scheduler) {
   report_.tasks = arrivals_.size();
   tasks_.assign(arrivals_.size(), Task{});
 
-  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
-    push_event(arrivals_[i].time, EventKind::arrival,
-               static_cast<std::uint32_t>(i), 0);
-  }
   if (options_.tick_period > 0.0 && !arrivals_.empty()) {
     push_event(options_.tick_period, EventKind::tick, 0, 0);
   }
 
-  while (!events_.empty()) {
-    const Event ev = events_.top();
-    events_.pop();
+  // Arrivals are read from their sorted list, not queued: queued first,
+  // they would hold the smallest sequence numbers, so an arrival goes
+  // before any queued event at its instant, and the queue stays as small
+  // as what is in flight.
+  std::uint32_t next_arrival = 0;
+  while (next_arrival < arrivals_.size() || !events_.empty()) {
+    Event ev;
+    if (next_arrival < arrivals_.size() &&
+        (events_.empty() ||
+         arrivals_[next_arrival].time <= events_.top().time)) {
+      ev = Event{arrivals_[next_arrival].time, 0, EventKind::arrival,
+                 next_arrival, 0};
+      ++next_arrival;
+    } else {
+      ev = events_.top();
+      events_.pop();
+    }
     now_ = ev.time;
     ++report_.events;
     switch (ev.kind) {
@@ -718,6 +767,7 @@ SimReport Engine::run(OnlineScheduler& scheduler) {
   if (completed_ > 0) {
     report_.mean_flow_time /= static_cast<double>(completed_);
   }
+  deferred_ = nullptr;
   scheduler_ = nullptr;
   return std::move(report_);
 }

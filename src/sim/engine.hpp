@@ -2,12 +2,14 @@
 //
 // The engine instantiates a Scenario (sim/scenario.hpp) into machine
 // instances and a merged arrival stream (or takes an explicit arrival
-// list — a workload model's or a trace's), then processes a typed event
-// queue — task arrival, task completion, power-state transition
-// complete, migration landing, periodic scheduler tick — in strict
-// (time, insertion-sequence) order, so a run is a pure function of
-// (scenario, options, scheduler): repeated runs replay bit-identically,
-// which the `sim_equiv` test label asserts via the report's trace hash.
+// list — a workload model's or a trace's), then processes typed events —
+// task arrival, task completion, power-state transition complete,
+// migration landing, periodic scheduler tick — in strict (time,
+// insertion-sequence) order, arrivals counting as inserted first (they
+// are read from their sorted list; the rest wait in a priority queue),
+// so a run is a pure function of (scenario, options, scheduler):
+// repeated runs replay bit-identically, which the `sim_equiv` test label
+// asserts via the report's trace hash.
 //
 // Machine model. Each instance carries a whole-machine power state
 // (awake, transitioning, or asleep at an S-state depth), a machine-wide
@@ -46,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <queue>
 #include <string>
 #include <vector>
@@ -200,6 +203,9 @@ class Engine {
   /// plus — when every core is occupied — the earliest running-task
   /// completion. This is the epoch base vector for batch replanning.
   std::vector<double> base_ready_times() const;
+  /// The same, written into `out` (resized to machine_count()), so a
+  /// caller that replans on every event allocates nothing.
+  void base_ready_times(std::vector<double>& out) const;
 
   /// base_ready_times() plus each machine's queued work drained at top
   /// speed across its cores — the completion-time estimate immediate
@@ -209,8 +215,20 @@ class Engine {
   std::vector<double> ready_times() const;
 
   /// Returns every queued-but-unstarted task to the pending set (batch
-  /// replanning begins here; running tasks are untouched).
+  /// replanning begins here; running tasks are untouched), and drops a
+  /// deferred plan rest unrun.
   void recall_queued();
+
+  /// Holds back the unread rest of a plan. Dispatch starts at most one
+  /// queue head per idle core, so a scheduler that has assigned those
+  /// heads can hand the engine the rest of its plan instead of assigning
+  /// it. The engine runs `rest` once, just before anything but dispatch
+  /// reads a queue: before a migration landing appends to one, before a
+  /// tick's controllers run, and when set_sleep() checks one.
+  /// recall_queued() drops it unrun; a rest still held when defer() is
+  /// called again runs first. queue_length() and load_of() do not run
+  /// it, so until then they see only the assigned part.
+  void defer(std::function<void(Engine&)> rest);
 
   /// Appends the task to the machine's run queue. The task must be
   /// pending or queued (re-assignment moves it) and the machine must be
@@ -328,8 +346,20 @@ class Engine {
                   std::uint64_t gen);
 
   void start_wake(Machine& m, std::uint32_t id);
+  // Runs and clears the deferred plan rest, if one is held.
+  void run_deferred();
+  // Marks a machine where a start may have become possible: it freed a
+  // core and memory, or its queue gained or lost a task.
+  void mark(std::uint32_t machine) {
+    dirty_[machine / 64] |= std::uint64_t{1} << (machine % 64);
+  }
   void enqueue(std::uint32_t machine, std::uint32_t task_id);
   void dispatch_machine(std::uint32_t id);
+  // Visits the marked machines in ascending id, as a loop over every
+  // machine would reach them: a machine marked at or above the one being
+  // visited is visited in this pass, one marked below waits for the next.
+  // A machine that is not marked can start nothing, so the visits that
+  // are skipped were no-ops.
   void dispatch_all();
   void schedule_completion(std::uint32_t task_id);
   void finish_task(std::uint32_t task_id);
@@ -352,6 +382,8 @@ class Engine {
   std::vector<Machine> machines_;
   std::vector<Task> tasks_;
   std::deque<std::size_t> unstarted_;  // ascending; see unstarted()
+  std::vector<std::uint64_t> dirty_;   // machines to dispatch, one bit each
+  std::function<void(Engine&)> deferred_;  // see defer()
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
   std::uint64_t next_seq_ = 0;
   double now_ = 0.0;

@@ -559,10 +559,7 @@ std::vector<SimArrival> generate_arrivals(const Scenario& scenario,
   std::vector<SimArrival> arrivals;
   for (std::size_t k = 0; k < scenario.task_classes.size(); ++k) {
     const auto& tc = scenario.task_classes[k];
-    std::mt19937_64 rng(tc.seed);
-    std::exponential_distribution<double> gap(1.0 / tc.inter_arrival);
-    double t = tc.start_time;
-    while (t < tc.end_time) {
+    const auto emit = [&](double t) {
       if (arrivals.size() >= max_arrivals) {
         throw ScenarioError(
             "scenario: task class #" + std::to_string(k + 1) +
@@ -570,7 +567,17 @@ std::vector<SimArrival> generate_arrivals(const Scenario& scenario,
             " tasks); widen 'Inter arrival' or narrow the window");
       }
       arrivals.push_back({t, k});
-      t += tc.seed == 0 ? tc.inter_arrival : gap(rng);
+    };
+    if (tc.seed == 0) {  // fixed gaps: no generator to seed
+      for (double t = tc.start_time; t < tc.end_time; t += tc.inter_arrival) {
+        emit(t);
+      }
+    } else {
+      std::mt19937_64 rng(tc.seed);
+      std::exponential_distribution<double> gap(1.0 / tc.inter_arrival);
+      for (double t = tc.start_time; t < tc.end_time; t += gap(rng)) {
+        emit(t);
+      }
     }
   }
   // Merge streams deterministically: per-class times are non-decreasing, so

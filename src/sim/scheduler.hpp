@@ -31,17 +31,19 @@
 //   batch_max_min   largest best completion time first.
 //   batch_sufferage largest (second-best - best) completion time first.
 //
-// A re-plan commits (assigns) only the part of the plan the engine's
-// next dispatch can read — one queue head per idle core — and the rest
-// at the next tick, before the controllers run; with no idle core it
-// commits nothing until the tick, and with a migration inbound it
-// commits everything. Their traces are nevertheless
+// A re-plan assigns only the part of the plan the engine's next dispatch
+// can read — one queue head per idle core — and hands the rest, held
+// commits and suspended plan alike, to Engine::defer(); with no idle
+// core it assigns nothing and does not even open the epoch. The engine
+// commits that rest just before anything but dispatch reads a queue (a
+// migration landing, a tick's controllers, set_sleep()), and the next
+// re-plan's recall drops it unread. Their traces are nevertheless
 // bit-identical to a cold O(U^2 M) re-plan of the same policy
 // (reference/cold_batch.hpp; the `sim_equiv` label asserts it),
-// extending the sched_equiv discipline into the simulator. A decorator
-// that forwards a batch token's arrival or completion callback and then
-// reads queue_length() or load_of() sees that partial plan, not the
-// whole one.
+// extending the sched_equiv discipline into the simulator. Since the
+// rest lives in the engine, a decorator that forwards the four callbacks
+// reproduces every run; one that then reads queue_length() or load_of()
+// sees the assigned part of the plan, not the whole one.
 //
 // Scheduler instances are one-shot and engine-bound, like Engine itself:
 // make a fresh one per run.

@@ -105,18 +105,19 @@ class Immediate final : public OnlineScheduler {
 // event trace match the cold re-planner (reference/cold_batch.hpp) bit
 // for bit.
 //
-// A replan commits only what the engine reads before the scheduler runs
-// again. Until the next arrival or completion (which replans afresh) or
-// tick (whose controllers and dispatch read every queue), a machine's
-// queue is read only by dispatch: an awake machine starts at most one
+// A replan assigns only what dispatch reads. The engine commits the rest
+// of the plan (Engine::defer) before anything else reads a queue, so
+// until the next arrival or completion (which replans afresh) dispatch
+// is the only reader that matters: an awake machine starts at most one
 // head per idle core, and a sleeping or transitioning one (all cores
 // idle) tests whether its queue is empty and, once awake, starts at most
 // one head per core. So the replan pulls rounds until each machine has
-// received one commit per idle core, or the plan ends, and leaves the
-// rest suspended; when no core is idle it does not even open the epoch.
-// on_tick() finishes either. Only an inbound migration makes the replan
-// commit everything, as the cold twin does: its landing appends behind
-// the queue, where the unread rest of the plan belongs, and dispatches.
+// received one commit per idle core, or the plan ends. A commit to a
+// machine whose idle cores are already filled is held, in plan order,
+// and the held commits and the suspended plan are deferred as the rest;
+// with no idle core the replan does not even open the epoch. Every held
+// commit to a machine follows its assigned ones, so committing the rest
+// later appends each queue's tail in the order the cold twin assigns it.
 class BatchEngineScheduler final : public BatchMode {
  public:
   using BatchMode::BatchMode;
@@ -125,24 +126,11 @@ class BatchEngineScheduler final : public BatchMode {
     if (registry_.drop(task)) planner_->remove_slot(task);
   }
 
-  void on_tick(Engine& engine) override {
-    if (unread_ == Unread::epoch) {
-      planner_->begin_epoch(base_);
-      planner_->start_plan();
-    }
-    if (unread_ != Unread::none) {
-      while (const auto c = planner_->pull()) {
-        engine.assign(c->slot, c->machine);
-      }
-    }
-    unread_ = Unread::none;
-  }
-
  private:
   void replan(Engine& engine) override {
     if (!planner_) planner_.emplace(engine.etc(), policy_);
-    unread_ = Unread::none;
     engine.recall_queued();
+    held_.clear();
     // Mirror the registry's new tail into the planner, in order.
     const std::size_t added = registry_.sync(engine.unstarted());
     const std::vector<std::size_t>& order = registry_.order();
@@ -152,40 +140,52 @@ class BatchEngineScheduler final : public BatchMode {
     if (planner_->active_count() == 0) return;
 
     // quota_[j]: commits to machine j that dispatch can read; owed:
-    // machines still short of their quota. partial: may the plan stop
-    // once every quota is met?
-    bool partial = true;
+    // machines still short of their quota.
     std::size_t owed = 0;
     quota_.resize(engine.machine_count());
     for (std::size_t j = 0; j < quota_.size(); ++j) {
-      partial = partial && engine.inbound(j) == 0;
       quota_[j] = engine.idle_cores(j);
       if (quota_[j] > 0) ++owed;
     }
-    if (partial && owed == 0) {
-      base_ = engine.base_ready_times();
-      unread_ = Unread::epoch;
-      return;
+    engine.base_ready_times(base_);
+    epoch_open_ = owed > 0;
+    if (epoch_open_) {
+      planner_->begin_epoch(base_);
+      planner_->start_plan();
     }
-    planner_->begin_epoch(engine.base_ready_times());
-    planner_->start_plan();
+    while (owed > 0) {
+      const auto c = planner_->pull();
+      if (!c) break;
+      if (quota_[c->machine] == 0) {
+        held_.push_back(*c);
+      } else {
+        engine.assign(c->slot, c->machine);
+        if (--quota_[c->machine] == 0) --owed;
+      }
+    }
+    engine.defer([this](Engine& e) { commit_rest(e); });
+  }
+
+  // The deferred rest: the held commits, then every round the plan has
+  // left, opening the epoch first if the replan did not.
+  void commit_rest(Engine& engine) {
+    if (!epoch_open_) {
+      planner_->begin_epoch(base_);
+      planner_->start_plan();
+    }
+    for (const sched::BatchEngine::Commit& c : held_) {
+      engine.assign(c.slot, c.machine);
+    }
+    held_.clear();
     while (const auto c = planner_->pull()) {
       engine.assign(c->slot, c->machine);
-      if (partial && quota_[c->machine] > 0 && --quota_[c->machine] == 0 &&
-          --owed == 0) {
-        unread_ = Unread::rounds;
-        return;
-      }
     }
   }
 
-  // What the last replan left for on_tick(): nothing, the rest of an
-  // open plan, or an epoch to open against base_.
-  enum class Unread { none, rounds, epoch };
-
   std::optional<sched::BatchEngine> planner_;
-  Unread unread_ = Unread::none;
-  std::vector<double> base_;
+  std::vector<double> base_;  // the replan's epoch base
+  bool epoch_open_ = false;   // did the replan open the epoch?
+  std::vector<sched::BatchEngine::Commit> held_;
   std::vector<std::size_t> quota_;
 };
 

@@ -288,6 +288,41 @@ TEST(SimEngine, ReadyTimesTrackQueueEdits) {
   EXPECT_GT(scheduler.checks, 12u);
 }
 
+// Dispatch visits only machines where a start may have become possible.
+// Moving a memory-blocked head to another machine is one: the task behind
+// it must start in the same event, not at the machine's next completion.
+TEST(SimEngine, ReassigningABlockedHeadStartsTheTaskBehindIt) {
+  class Mover final : public hetero::sim::OnlineScheduler {
+   public:
+    std::string_view name() const override { return "mover"; }
+    void on_arrival(Engine& engine, std::size_t task) override {
+      if (task == 3) engine.assign(1, 1);  // task 1 blocks machine 0
+      engine.assign(task, task == 3 ? 1 : 0);
+    }
+    void on_start(Engine& engine, std::size_t task, std::size_t) override {
+      if (task == 2) started_at = engine.now();
+    }
+    double started_at = -1.0;
+  };
+
+  const EtcMatrix etc(Matrix{{10.0, 10.0}, {1.0, 1.0}});
+  Scenario s = scenario_from_etc(etc);
+  for (hetero::sim::MachineClass& m : s.machine_classes) {
+    m.cores = 2;
+    m.memory_mb = 4.0;
+  }
+  s.task_classes[0].memory_mb = 3.0;
+  s.task_classes[1].memory_mb = 1.0;
+  // Task 0 runs on machine 0, task 1 waits there for memory, task 2 waits
+  // behind it; task 3's arrival moves task 1 away.
+  const std::vector<SimArrival> arrivals = {
+      {0.0, 0}, {0.0, 0}, {0.0, 1}, {2.0, 1}};
+  Mover scheduler;
+  Engine engine(s, arrivals, {.tick_period = 0.0});
+  ASSERT_EQ(engine.run(scheduler).completed, arrivals.size());
+  EXPECT_EQ(scheduler.started_at, 2.0);
+}
+
 // ---------------------------------------------------------------------------
 // Equivalence-twin discipline (the sim_equiv label): repeated runs,
 // thread counts, and the BatchEngine-backed adapters must all reproduce
@@ -859,15 +894,21 @@ TEST(DynamicBatchEquivalence, IncapableMachinesMatchColdReference) {
 }
 
 // ---------------------------------------------------------------------------
-// The batch_* tokens commit only the part of each plan the engine can read
-// before the scheduler runs again, and finish the rest at the next tick.
-// That laziness must be unobservable: a seeded sweep of generated
-// environments, built to reach every state the observation rule reasons
-// about, must replay the eager cold re-planner bit for bit.
+// The batch_* tokens assign only the part of each plan that dispatch
+// reads, and defer the rest to the engine, which commits it when a
+// migration lands or a tick's controllers run. That laziness must be
+// unobservable: a seeded sweep of generated environments, built to reach
+// every state the observation rule reasons about, must replay the eager
+// cold re-planner bit for bit.
 
 // Forwards every callback to `inner`. At each it checks unstarted()
 // against a scan of assignable() and counts the engine states the lazy
 // replan must handle.
+//
+// A batch token plans every unstarted task at each arrival and completion,
+// so after a replan a task that is in no queue is in a deferred rest. The
+// rest stays until the next replan, a tick with controllers, or a landing;
+// a drop in the inbound count between two callbacks is a landing.
 class Probe final : public hetero::sim::OnlineScheduler {
  public:
   struct Seen {
@@ -877,6 +918,8 @@ class Probe final : public hetero::sim::OnlineScheduler {
     std::size_t no_idle_core = 0;    // a replan with every core busy
     std::size_t unread_after = 0;    // tasks left unqueued after a replan
     std::size_t same_instant = 0;    // a machine freed cores twice at once
+    std::size_t landed_on_rest = 0;  // a migration landed on a deferred rest
+    std::size_t controllers_on_rest = 0;  // controllers ran on one
   };
 
   Probe(std::unique_ptr<OnlineScheduler> inner, Seen& seen)
@@ -892,6 +935,7 @@ class Probe final : public hetero::sim::OnlineScheduler {
                 std::size_t machine) override {
     check(engine);
     inner_->on_start(engine, task, machine);
+    leave(engine);
   }
   void on_completion(Engine& engine, std::size_t task,
                      std::size_t machine) override {
@@ -907,10 +951,36 @@ class Probe final : public hetero::sim::OnlineScheduler {
     check(engine);
     inner_->on_tick(engine);
     check(engine);
+    const SimOptions& o = engine.options();
+    const bool controllers = o.power_gating || o.dvfs || o.migration;
+    if (controllers && unqueued(engine)) ++seen_.controllers_on_rest;
+    leave(engine);
+    if (controllers) rest_ = false;  // the engine commits it next
   }
 
  private:
+  static bool unqueued(const Engine& engine) {
+    std::size_t queued = 0;
+    for (std::size_t j = 0; j < engine.machine_count(); ++j)
+      queued += engine.queue_length(j);
+    return queued < engine.unstarted().size();
+  }
+  static std::size_t inbound_total(const Engine& engine) {
+    std::size_t inbound = 0;
+    for (std::size_t j = 0; j < engine.machine_count(); ++j)
+      inbound += engine.inbound(j);
+    return inbound;
+  }
+
+  // The state a callback leaves behind, for the next one to compare.
+  void leave(const Engine& engine) {
+    rest_ = unqueued(engine);
+    inbound_ = inbound_total(engine);
+  }
+
   void check(const Engine& engine) {
+    if (rest_ && inbound_total(engine) < inbound_) ++seen_.landed_on_rest;
+    rest_ = false;
     ++seen_.callbacks;
     std::deque<std::size_t> scan;
     for (std::size_t t = 0; t < engine.arrived_count(); ++t)
@@ -932,16 +1002,38 @@ class Probe final : public hetero::sim::OnlineScheduler {
 
   void after_replan(const Engine& engine) {
     check(engine);
-    std::size_t queued = 0;
-    for (std::size_t j = 0; j < engine.machine_count(); ++j)
-      queued += engine.queue_length(j);
-    if (queued < engine.unstarted().size()) ++seen_.unread_after;
+    if (unqueued(engine)) ++seen_.unread_after;
+    leave(engine);
   }
 
   std::unique_ptr<OnlineScheduler> inner_;
   Seen& seen_;
   std::vector<double> last_completion_;
+  bool rest_ = false;        // a deferred rest was held at the last exit
+  std::size_t inbound_ = 0;  // inbound_total() at the last exit
 };
+
+TEST(DynamicBatch, ForwardingDecoratorReproducesUndecoratedRuns) {
+  // The deferred rest of a plan is held by the engine, not behind a
+  // scheduler callback, so wrapping a batch token in a decorator that
+  // forwards only the four callbacks changes no bit, with every
+  // controller on.
+  const SimOptions all{.power_gating = true, .dvfs = true,
+                       .migration = true, .migration_gap = 2};
+  std::size_t migrations = 0;
+  for (const std::string& path : scenario_files()) {
+    const Scenario s = hetero::sim::load_scenario(path);
+    const SimReport plain = run_once(s, "batch_min_min", all);
+    Probe::Seen seen;
+    Probe decorated(make_scheduler("batch_min_min"), seen);
+    Engine engine(s, all);
+    const SimReport wrapped = engine.run(decorated);
+    ASSERT_EQ(wrapped.completed, wrapped.tasks) << path;
+    expect_same_run(plain, wrapped, path);
+    migrations += wrapped.migrations;
+  }
+  EXPECT_GT(migrations, 0u);
+}
 
 // Small-integer runtimes (completion-time ties, simultaneous completions)
 // with scattered cannot-run entries; column 0 runs everything.
@@ -994,8 +1086,9 @@ std::vector<SimArrival> burst_arrivals(std::size_t count, std::size_t types,
 
 TEST(DynamicBatchEquivalence, LazyReplanMatchesColdAcrossGeneratedScenarios) {
   // Ticks off (the unread rest of a plan is never read), ticks without
-  // controllers, and ticks with every controller (sleeping machines wake
-  // on a suspended plan; inbound migrations force the full plan).
+  // controllers (nor at a tick), and ticks with every controller (which
+  // read the rest, sleeping machines wake on a suspended plan, and
+  // migrations land on one).
   const SimOptions modes[] = {
       {.tick_period = 0.0},
       {.tick_period = 4.0},
@@ -1037,6 +1130,8 @@ TEST(DynamicBatchEquivalence, LazyReplanMatchesColdAcrossGeneratedScenarios) {
   EXPECT_GT(seen.no_idle_core, 0u);
   EXPECT_GT(seen.unread_after, 0u);
   EXPECT_GT(seen.same_instant, 0u);
+  EXPECT_GT(seen.landed_on_rest, 0u);
+  EXPECT_GT(seen.controllers_on_rest, 0u);
   EXPECT_GT(migrations, 0u);
   EXPECT_GT(sleeps, 0u);
 }
@@ -1065,6 +1160,83 @@ TEST(SimEquiv, UnstartedListMatchesStateScanAtEveryCallback) {
     }
   }
   EXPECT_GT(migrations, 0u);
+}
+
+// Assigns from on_start, to the machine below the one starting a task and
+// to the one above it, so one dispatch pass meets commits both behind and
+// ahead of the machine it is visiting. Every other arrival is held for
+// on_start; a tick assigns whatever is still held.
+class CrossAssigner final : public hetero::sim::OnlineScheduler {
+ public:
+  std::size_t lower = 0, higher = 0;  // commits made from on_start
+
+  std::string_view name() const override { return "cross_assigner"; }
+  void on_arrival(Engine& engine, std::size_t task) override {
+    if (task % 2 == 0) {
+      engine.assign(task, task % engine.machine_count());
+    } else {
+      held_.push_back(task);
+    }
+  }
+  void on_start(Engine& engine, std::size_t, std::size_t machine) override {
+    if (machine > 0 && !held_.empty()) {
+      engine.assign(take(), machine - 1);
+      ++lower;
+    }
+    if (machine + 1 < engine.machine_count() && !held_.empty()) {
+      engine.assign(take(), machine + 1);
+      ++higher;
+    }
+  }
+  void on_tick(Engine& engine) override {
+    while (!held_.empty()) {
+      const std::size_t task = take();
+      engine.assign(task, task % engine.machine_count());
+    }
+  }
+
+ private:
+  std::size_t take() {
+    const std::size_t task = held_.front();
+    held_.pop_front();
+    return task;
+  }
+
+  std::deque<std::size_t> held_;
+};
+
+TEST(SimGolden, StartOrderWhenOnStartAssignsAcrossMachines) {
+  // A commit made while machine j dispatches reaches a machine above j in
+  // the same pass and one below j at the next. The trace pins that order,
+  // with every controller on; the values were recorded before dispatch
+  // learned to skip machines where nothing can start.
+  hetero::etcgen::Rng rng = hetero::etcgen::make_rng(77);
+  Matrix m(4, 6);
+  for (std::size_t i = 0; i < 4; ++i)
+    for (std::size_t j = 0; j < 6; ++j)
+      m(i, j) = static_cast<double>(1 + (3 * i + 5 * j) % 7);
+  const EtcMatrix etc(m);
+  const Scenario s = stress_scenario(etc, rng);
+  const std::vector<SimArrival> arrivals =
+      burst_arrivals(150, etc.task_count(), rng);
+  const SimOptions options{.tick_period = 3.0, .power_gating = true,
+                           .idle_sleep_after = 6.0, .sleep_latency = 2.0,
+                           .wake_latency = 3.0, .dvfs = true,
+                           .migration = true, .migration_gap = 2,
+                           .migration_latency = 2.0};
+  CrossAssigner scheduler;
+  Engine engine(s, arrivals, options);
+  const SimReport r = engine.run(scheduler);
+  ASSERT_EQ(r.completed, arrivals.size());
+  EXPECT_GT(scheduler.lower, 0u);
+  EXPECT_GT(scheduler.higher, 0u);
+  EXPECT_GT(r.migrations, 0u);
+  EXPECT_GT(r.sleep_transitions, 0u);
+  EXPECT_EQ(r.trace_hash, 0xbb005fbb77f4ce14ULL) << std::hex << "hash 0x" << r.trace_hash;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.total_energy_j),
+            0x3f573dd1e86c98a5ULL)
+      << std::hex << "energy bits 0x"
+      << std::bit_cast<std::uint64_t>(r.total_energy_j);
 }
 
 }  // namespace
